@@ -15,7 +15,6 @@ plus axis-parallel rays, or richer.
 
 from ybe_growth import (
     as_full_conjugation_gf,
-    class_product_table,
     defect_measure,
     defect_series,
     make_dihedral_group,
@@ -45,9 +44,7 @@ for name, group in (
 
 print("A single defect value, computed through the class-product bitmask table:")
 group = make_symmetric_group(4)
-dec = group.conjugacy_classes()
-table = class_product_table(group, dec)
-record = defect_measure(group, dec, table, (0, 1, 1, 0))
+record = defect_measure(group, (0, 1, 1, 0))
 print(f"  S4, exponents {record.exponents}: product covers {record.product_size} "
       f"of the {len(group.commutator_subgroup())} commutator elements "
       f"(defect {record.defect})")

@@ -2,8 +2,9 @@
 quandle-type Yang-Baxter solutions, and set partitions.
 
 Groups keep element 0 as the identity.  Small groups (n <= DENSE_LIMIT)
-materialise the full multiplication table as a numpy array; larger ones
-compose elements directly and cache rows on demand.
+materialise the full multiplication table as a numpy array; larger symmetric
+groups multiply by gathering permutation images.  Each group caches one
+ClassAlgebra: its classes, class product table and commutator masks.
 """
 
 from __future__ import annotations
@@ -128,8 +129,13 @@ class ConjugacyDecomposition:
 class FiniteGroupTable:
     """A finite group given by its multiplication structure.
 
-    Either a dense numpy table is stored, or a pair-multiplication callable
-    with a lazy row cache for groups too large to tabulate eagerly.
+    Either a dense numpy table is stored, or the permutation images of the
+    elements (one row per element), multiplied by gathering images and ranking
+    the result; the latter keeps S_7 and S_8 free of an n x n table.
+
+    class_keys, when given, is a complete conjugacy invariant per element
+    (such as the cycle type in S_d): elements are conjugate exactly when their
+    keys are equal, and the conjugacy classes are read off the keys.
     """
 
     def __init__(
@@ -137,7 +143,8 @@ class FiniteGroupTable:
         size: int,
         *,
         table: Optional[np.ndarray] = None,
-        pair_mul: Optional[Callable[[int, int], int]] = None,
+        images: Optional[np.ndarray] = None,
+        class_keys: Optional[Sequence] = None,
         inverses: Optional[Sequence[int]] = None,
         labels: Optional[Sequence[str]] = None,
         name: str = "G",
@@ -145,13 +152,14 @@ class FiniteGroupTable:
     ):
         if size <= 0:
             raise ValueError("group size must be positive")
-        if table is None and pair_mul is None:
-            raise ValueError("need a multiplication table or a pair product")
+        if table is None and images is None:
+            raise ValueError("need a multiplication table or permutation images")
         self.size = size
         self.name = name
         self._table = None if table is None else np.asarray(table, dtype=np.int64)
-        self._pair_mul = pair_mul
-        self._row_cache: dict[int, np.ndarray] = {}
+        self._images = None if images is None else np.asarray(images, dtype=np.int64)
+        self._rank = None if images is None else _image_ranker(self._images)
+        self._class_keys = class_keys
         self.labels = list(labels) if labels is not None else [str(i) for i in range(size)]
         if len(self.labels) != size:
             raise ValueError("label count does not match group size")
@@ -160,7 +168,7 @@ class FiniteGroupTable:
         else:
             self._inv = self._compute_inverses()
         self._classes: Optional[ConjugacyDecomposition] = None
-        self._commutator: Optional[tuple[int, ...]] = None
+        self._algebra: Optional[ClassAlgebra] = None
         if validate:
             self._validate()
 
@@ -169,21 +177,14 @@ class FiniteGroupTable:
     def mul(self, a: int, b: int) -> int:
         if self._table is not None:
             return int(self._table[a, b])
-        row = self._row_cache.get(a)
-        if row is not None:
-            return int(row[b])
-        return self._pair_mul(a, b)
+        return int(self._rank(self._images[a][self._images[b]]))
 
     def row(self, a: int) -> np.ndarray:
+        """a * b for every element b."""
         if self._table is not None:
             return self._table[a]
-        row = self._row_cache.get(a)
-        if row is None:
-            row = np.fromiter(
-                (self._pair_mul(a, b) for b in range(self.size)), dtype=np.int64, count=self.size
-            )
-            self._row_cache[a] = row
-        return row
+        # (p_a * p_b)(i) = p_a[p_b[i]]: gather p_a through every image row
+        return self._rank(self._images[a][self._images])
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -249,122 +250,54 @@ class FiniteGroupTable:
     # -- conjugacy and commutators ------------------------------------------
 
     def conjugacy_classes(self) -> ConjugacyDecomposition:
-        if self._classes is not None:
-            return self._classes
-        n = self.size
-        hint = getattr(self, "_symmetric_cycle_classes", None)
-        if hint is not None:
-            raw = [sorted(members) for members in hint.values()]
-            class_of = [-1] * n
-            for ci, members in enumerate(raw):
-                for x in members:
-                    class_of[x] = ci
-            return self._finish_classes(raw, class_of)
-        class_of = [-1] * n
-        raw: list[list[int]] = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            orbit = {start}
-            stack = [start]
-            class_of[start] = len(raw)
-            while stack:
-                x = stack.pop()
-                for h in range(n):
-                    y = self.conjugate(h, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        class_of[y] = len(raw)
-                        stack.append(y)
-            raw.append(sorted(orbit))
-        return self._finish_classes(raw, class_of)
-
-    def _finish_classes(
-        self, raw: list[list[int]], class_of: list[int]
-    ) -> ConjugacyDecomposition:
-        n = self.size
-        ident_cls = class_of[0]
-        rest = sorted(
-            (c for i, c in enumerate(raw) if i != ident_cls), key=lambda c: (len(c), c[0])
-        )
-        classes = [tuple(raw[ident_cls])] + [tuple(c) for c in rest]
-        new_class_of = [-1] * n
-        for ci, members in enumerate(classes):
-            for x in members:
-                new_class_of[x] = ci
-        inverse_class = tuple(new_class_of[self._inv[c[0]]] for c in classes)
-        self._classes = ConjugacyDecomposition(
-            classes=tuple(classes),
-            class_of=tuple(new_class_of),
-            inverse_class=inverse_class,
-        )
+        if self._classes is None:
+            self._classes = self._decompose()
         return self._classes
 
-    def _perm_ranker(self):
-        """(image matrix, rank function) for groups carrying permutation
-        structure; lets n^2-size computations run as numpy batches."""
-        mat = np.array([p.images for p in self.permutations], dtype=np.int64)
-        d = mat.shape[1]
-        radix = np.array([d**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-        codes = mat @ radix
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
+    def _decompose(self) -> ConjugacyDecomposition:
+        n = self.size
+        if self._class_keys is not None:
+            by_key: dict = {}
+            for x, key in enumerate(self._class_keys):
+                by_key.setdefault(key, []).append(x)
+            raw = list(by_key.values())
+        else:
+            raw = []
+            seen = [False] * n
+            for start in range(n):
+                if not seen[start]:
+                    orbit = sorted({self.conjugate(h, start) for h in range(n)})
+                    for x in orbit:
+                        seen[x] = True
+                    raw.append(orbit)
+        ident = next(c for c in raw if c[0] == 0)
+        rest = sorted((c for c in raw if c is not ident), key=lambda c: (len(c), c[0]))
+        classes = [tuple(ident)] + [tuple(c) for c in rest]
+        class_of = [-1] * n
+        for ci, members in enumerate(classes):
+            for x in members:
+                class_of[x] = ci
+        return ConjugacyDecomposition(
+            classes=tuple(classes),
+            class_of=tuple(class_of),
+            inverse_class=tuple(class_of[self._inv[c[0]]] for c in classes),
+        )
 
-        def rank(rows: np.ndarray) -> np.ndarray:
-            return order[np.searchsorted(sorted_codes, rows @ radix)]
-
-        return mat, rank
+    def class_algebra(self) -> "ClassAlgebra":
+        """The group's class-level algebra, built on first use and cached."""
+        if self._algebra is None:
+            self._algebra = ClassAlgebra(self)
+        return self._algebra
 
     def commutator_subgroup(self) -> tuple[int, ...]:
-        """Closure of all commutators [a,b] under multiplication."""
-        if self._commutator is not None:
-            return self._commutator
-        gens = sorted(self.commutator_set())
-        members = set(gens) | {0}
-        frontier = list(members)
-        if self._table is None and hasattr(self, "permutations"):
-            mat, rank = self._perm_ranker()
-            gen_mat = mat[gens]
-            while frontier:
-                x = frontier.pop()
-                for y in rank((mat[x])[gen_mat]).tolist():
-                    if y not in members:
-                        members.add(y)
-                        frontier.append(y)
-        else:
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in members:
-                        members.add(y)
-                        frontier.append(y)
-        self._commutator = tuple(sorted(members))
-        return self._commutator
+        """[G,G], the closure of all commutators [a,b] under multiplication."""
+        algebra = self.class_algebra()
+        return tuple(algebra.members(algebra.commutator_mask))
 
     def commutator_set(self) -> set[int]:
         """All single commutators a b a^-1 b^-1."""
-        n = self.size
-        if self._table is None and hasattr(self, "permutations"):
-            # batch the n^2 commutators row by row through permutation images
-            mat, rank = self._perm_ranker()
-            inv = np.array(self._inv, dtype=np.int64)
-            out: set[int] = set()
-            for a in range(n):
-                ab = (mat[a])[mat]  # (p_a * p_b)(i) = p_a[p_b[i]]
-                ba = mat[:, mat[a]]  # (p_b * p_a)(i) = p_b[p_a[i]]
-                inv_ba = mat[inv[rank(ba)]]
-                comm = np.take_along_axis(ab, inv_ba, axis=1)
-                out.update(rank(comm).tolist())
-            return out
-        out = set()
-        for a in range(n):
-            ra = self.row(a)
-            for b in range(n):
-                ab = int(ra[b])
-                ba = self.mul(b, a)
-                out.add(self.mul(ab, self._inv[ba]))
-        return out
+        algebra = self.class_algebra()
+        return set(algebra.members(algebra.single_commutator_mask))
 
     # -- serialisation -------------------------------------------------------
 
@@ -407,17 +340,18 @@ def class_product_table(
     """Bitmask table: entry (i,j) marks the classes meeting C_i * C_j.
 
     Since class products are conjugation-invariant, the classes meeting
-    rep * C_j for one fixed representative of C_i already give all of them.
+    rep * C_j for one fixed representative of C_i already give all of them,
+    so each row of the table needs one group row, rep * G.
     """
     c = dec.count
-    table = [[0] * c for _ in range(c)]
-    for i in range(c):
-        rep = dec.classes[i][0]
-        for j in range(c):
-            mask = 0
-            for y in dec.classes[j]:
-                mask |= 1 << dec.class_of[group.mul(rep, y)]
-            table[i][j] = mask
+    class_of = np.asarray(dec.class_of)
+    table = []
+    for members in dec.classes:
+        meets = np.zeros((c, c), dtype=bool)
+        # meets[j, k]: some y in C_j has rep * y in C_k
+        meets[class_of, class_of[group.row(members[0])]] = True
+        bits = np.packbits(meets, axis=1, bitorder="little")
+        table.append([int.from_bytes(r.tobytes(), "little") for r in bits])
     for i in range(c):
         for j in range(c):
             if table[i][j] != table[j][i]:
@@ -425,49 +359,143 @@ def class_product_table(
     return table
 
 
+def _bits(mask: int) -> Iterable[int]:
+    """Indices of the set bits of a class mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ClassAlgebra:
+    """Class-level data of a finite group, shared by every routine that works
+    with unions of conjugacy classes; get it from `group.class_algebra()`.
+
+    A union of classes is an int bitmask over class indices, and the class
+    product table multiplies such masks.  For a in C_i the commutators
+    [a, b] = a (b a^-1 b^-1) over all b form a C_i^-1, so the single
+    commutators are the union of the products C_i C_i^-1, and [G,G] is that
+    mask closed under mask products.
+    """
+
+    def __init__(self, group: FiniteGroupTable):
+        self.dec = group.conjugacy_classes()
+        self.table = class_product_table(group, self.dec)
+        self.count = self.dec.count
+        self.sizes = self.dec.sizes
+        self.inverse_class = self.dec.inverse_class
+        self.self_inverse = all(self.inverse_class[i] == i for i in range(self.count))
+        single = 0
+        for i in range(self.count):
+            single |= self.table[i][self.inverse_class[i]]
+        self.single_commutator_mask = single
+        # the identity class is in the mask, so squaring only grows it, and a
+        # square-closed set of a finite group is a subgroup
+        closed = single
+        while (grown := self.mask_product(closed, closed)) != closed:
+            closed = grown
+        self.commutator_mask = closed
+        self.commutator_size = self.mask_size(closed)
+
+    def mask_times_class(self, mask: int, cls: int) -> int:
+        out = 0
+        row = self.table
+        i = 0
+        while mask:
+            if mask & 1:
+                out |= row[i][cls]
+            mask >>= 1
+            i += 1
+        return out
+
+    def mask_product(self, left: int, right: int) -> int:
+        out = 0
+        for j in _bits(right):
+            out |= self.mask_times_class(left, j)
+        return out
+
+    def mask_size(self, mask: int) -> int:
+        total = 0
+        i = 0
+        while mask:
+            if mask & 1:
+                total += self.sizes[i]
+            mask >>= 1
+            i += 1
+        return total
+
+    def members(self, mask: int) -> list[int]:
+        """The elements of the classes in mask, ascending."""
+        return sorted(x for i in _bits(mask) for x in self.dec.classes[i])
+
+    def defect_of_mask(self, mask: int) -> int:
+        """|[G,G]| minus the number of elements in the classes of mask."""
+        defect = self.commutator_size - self.mask_size(mask)
+        if defect < 0:
+            raise AssertionError("class product exceeded the commutator subgroup size")
+        return defect
+
+    def chain(self, mask: int, cls: int):
+        """Masks mask * C^k for k = 0,1,2,... plus the 2-periodic stabilisation
+        point: returns (prefix list m_0..m_{s+1}, s) with m_{k+2} = m_k for all
+        k >= s.  Stabilisation is guaranteed: multiplying twice by a
+        self-inverse class only grows the mask."""
+        masks = [mask]
+        while True:
+            masks.append(self.mask_times_class(masks[-1], cls))
+            n = len(masks)
+            if n >= 4 and masks[-1] == masks[-3] and masks[-2] == masks[-4]:
+                return masks[:-2], n - 4
+            if n > 4 * self.count + 8:
+                raise AssertionError("class power chain failed to stabilise")
+
+
 # -- standard groups ---------------------------------------------------------
 
 
+def _image_ranker(images: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Rank function of a list of permutations of {0..d-1}, given as an n x d
+    image matrix: maps image rows (an array of any leading shape) to their
+    indices in the list, by looking up base-d codes."""
+    d = images.shape[1]
+    radix = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    codes = images @ radix
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+
+    def rank(rows: np.ndarray) -> np.ndarray:
+        return order[np.searchsorted(sorted_codes, rows @ radix)]
+
+    return rank
+
+
 def make_symmetric_group(d: int) -> FiniteGroupTable:
-    """S_d as a table group; elements sorted by image tuple (identity first)."""
+    """S_d with elements sorted by image tuple (identity first).
+
+    Groups up to S_6 (n <= DENSE_LIMIT) store the multiplication table; S_7
+    and S_8 keep the permutation images.  Classes are read off cycle types.
+    """
     if not 1 <= d <= 8:
         raise ValueError("symmetric group supported for 1 <= d <= 8")
-    perms = [Permutation(p) for p in sorted(itertools.permutations(range(d)))]
-    index = {p.images: i for i, p in enumerate(perms)}
+    perms = [Permutation(p) for p in itertools.permutations(range(d))]
     n = len(perms)
-    labels = [p.label() for p in perms]
-
-    def pair_mul(a: int, b: int) -> int:
-        return index[(perms[a] * perms[b]).images]
-
+    images = np.array([p.images for p in perms], dtype=np.int64)
+    rank = _image_ranker(images)
     table = None
     if n <= DENSE_LIMIT:
-        mat = np.array([p.images for p in perms], dtype=np.int64)
-        codes = mat @ np.array([d**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
-        radix = np.array([d**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-        table = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
-            # composition (p_a * p_b)(i) = p_a[p_b[i]]: image rows mat[a][mat[b]]
-            prod_codes = (mat[a])[mat] @ radix
-            table[a] = order[np.searchsorted(sorted_codes, prod_codes)]
-    inverses = [index[p.inverse().images] for p in perms]
+        # composition (p_a * p_b)(i) = p_a[p_b[i]]: image rows images[a][images[b]]
+        table = np.stack([rank(images[a][images]) for a in range(n)])
     group = FiniteGroupTable(
         n,
         table=table,
-        pair_mul=pair_mul if table is None else None,
-        inverses=inverses,
-        labels=labels,
+        images=images if table is None else None,
+        class_keys=[p.cycle_type() for p in perms],
+        inverses=rank(np.argsort(images, axis=1)).tolist(),
+        labels=[p.label() for p in perms],
         name=f"S{d}",
         validate=table is not None,
     )
-    group.permutations = perms  # structural hint for class shortcuts
-    if table is None:
-        cycle_types: dict[tuple[int, ...], list[int]] = {}
-        for i, p in enumerate(perms):
-            cycle_types.setdefault(p.cycle_type(), []).append(i)
-        group._symmetric_cycle_classes = cycle_types
+    group.permutations = perms
     return group
 
 

@@ -28,6 +28,7 @@ from .algebra import (
     transposition_solution,
 )
 from .group_growth import (
+    DEFAULT_DEFECT_BUDGET,
     as_full_conjugation_gf,
     as_reflections_group_gf,
     as_transpositions_group_gf,
@@ -129,8 +130,8 @@ def cmd_group(args) -> int:
             )
     else:
         if family == "permutations":
-            if not 1 <= d <= 7:
-                raise UsageError("permutations supported for 1 <= d <= 7")
+            if not 1 <= d <= 8:
+                raise UsageError("permutations supported for 1 <= d <= 8")
             group = make_symmetric_group(d)
         else:
             group = make_dihedral_group(d)
@@ -222,19 +223,15 @@ def cmd_monoid(args) -> int:
 def cmd_defect_table(args) -> int:
     family, d, order = args.solution, args.d, args.order
     if family == "permutations":
-        if not 1 <= d <= 7:
-            raise UsageError("permutations supported for 1 <= d <= 7")
+        if not 1 <= d <= 8:
+            raise UsageError("permutations supported for 1 <= d <= 8")
         group = make_symmetric_group(d)
     elif family == "dihedral":
         group = make_dihedral_group(d)
     else:
         raise UsageError("defect-table supports permutations or dihedral")
-    dec = group.conjugacy_classes()
-    from .algebra import class_product_table
-
-    table = class_product_table(group, dec)
-    from .group_growth import DEFAULT_DEFECT_BUDGET
-
+    algebra = group.class_algebra()
+    dec, table = algebra.dec, algebra.table
     result = defect_series(group, order, _budget(args, DEFAULT_DEFECT_BUDGET))
     report = _base_report(args, "defect-table")
     classes = [
@@ -261,7 +258,7 @@ def cmd_defect_table(args) -> int:
             )
     if result.diagnostic:
         report["defect_series"]["diagnostic"] = result.diagnostic
-    nonzero = _nonzero_defects(group, dec, table, order)
+    nonzero = _nonzero_defects(algebra, order)
     report["nonzero_defects"] = nonzero
     csv_rows = [["kbar", "product_size", "defect"]] + [
         [" ".join(map(str, row["kbar"])), row["product_size"], row["defect"]] for row in nonzero
@@ -278,27 +275,30 @@ def cmd_defect_table(args) -> int:
     return 0
 
 
-def _nonzero_defects(group, dec, table, order) -> list[dict]:
-    from .group_growth import defect_measure
-
+def _nonzero_defects(algebra, order) -> list[dict]:
+    """Rows of every non-negative exponent vector with |kbar| <= order and a
+    nonzero defect; the walk carries the product mask, so each step is one
+    mask-times-class product."""
     out = []
 
-    def rec(i: int, kbar: list[int], used: int):
-        if i == dec.count:
-            record = defect_measure(group, dec, table, kbar)
-            if record.defect:
+    def rec(i: int, kbar: list[int], used: int, mask: int):
+        if i == algebra.count:
+            size = algebra.mask_size(mask)
+            if size != algebra.commutator_size:
                 out.append(
                     {
-                        "kbar": list(record.exponents),
-                        "product_size": record.product_size,
-                        "defect": record.defect,
+                        "kbar": list(kbar),
+                        "product_size": size,
+                        "defect": algebra.commutator_size - size,
                     }
                 )
             return
         for k in range(order - used + 1):
-            rec(i + 1, kbar + [k], used + k)
+            if k:
+                mask = algebra.mask_times_class(mask, i)
+            rec(i + 1, kbar + [k], used + k, mask)
 
-    rec(1, [], 0)
+    rec(1, [], 0, 1)
     out.sort(key=lambda row: (sum(row["kbar"]), row["kbar"]))
     return out
 

@@ -2,9 +2,9 @@
 closed forms for transposition and reflection solutions, and the defect-series
 engine for full conjugation solutions.
 
-The defect engine works with class-index bitmasks throughout: element-level
-products are used once to build the pairwise class product table, after which
-a product of conjugacy classes is an O(c) bitmask fold.
+The defect engine works with class-index bitmasks throughout: the group's
+cached ClassAlgebra holds the pairwise class product table, after which a
+product of conjugacy classes is an O(c) bitmask fold.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import (
-    ConjugacyDecomposition,
-    FiniteGroupTable,
-    class_product_table,
-)
+from .algebra import ClassAlgebra, FiniteGroupTable
 from .series import (
     ONE,
     Polynomial,
@@ -113,93 +109,27 @@ class DefectRecord:
     defect: int
 
 
-class _ClassData:
-    """Pre-computed class data shared by the defect routines."""
-
-    def __init__(self, group: FiniteGroupTable):
-        self.group = group
-        self.dec: ConjugacyDecomposition = group.conjugacy_classes()
-        self.table = class_product_table(group, self.dec)
-        self.sizes = self.dec.sizes
-        self.gamma = len(group.commutator_subgroup())
-        self.count = self.dec.count
-        self.self_inverse = all(
-            self.dec.inverse_class[i] == i for i in range(self.count)
-        )
-
-    def mask_times_class(self, mask: int, cls: int) -> int:
-        out = 0
-        row = self.table
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= row[i][cls]
-            mask >>= 1
-            i += 1
-        return out
-
-    def mask_size(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.sizes[i]
-            mask >>= 1
-            i += 1
-        return total
-
-    def defect_of_mask(self, mask: int) -> int:
-        defect = self.gamma - self.mask_size(mask)
-        if defect < 0:
-            raise AssertionError("class product exceeded the commutator subgroup size")
-        return defect
-
-    def chain(self, mask: int, cls: int, inverse: bool = False):
-        """Masks mask * C^k for k = 0,1,2,... plus the 2-periodic stabilisation
-        point: returns (prefix list m_0..m_{s+1}, s) with m_{k+2} = m_k for all
-        k >= s.  Stabilisation is guaranteed: multiplying twice by a
-        self-inverse class only grows the mask."""
-        c = self.dec.inverse_class[cls] if inverse else cls
-        masks = [mask]
-        while True:
-            masks.append(self.mask_times_class(masks[-1], c))
-            n = len(masks)
-            if n >= 4 and masks[-1] == masks[-3] and masks[-2] == masks[-4]:
-                return masks[:-2], n - 4
-            if n > 4 * self.count + 8:
-                raise AssertionError("class power chain failed to stabilise")
-
-
-def defect_measure(
-    group: FiniteGroupTable,
-    dec: ConjugacyDecomposition,
-    table: Sequence[Sequence[int]],
-    kbar: Sequence[int],
-) -> DefectRecord:
+def defect_measure(group: FiniteGroupTable, kbar: Sequence[int]) -> DefectRecord:
     """delta_G(kbar) = |[G,G]| - |prod C_i^{k_i}|, via bitmask products.
 
     kbar has one entry per nontrivial class (classes 1..c-1 in decomposition
     order); negative exponents use the elementwise inverse class.
     """
-    if len(kbar) != dec.count - 1:
-        raise ValueError(f"expected {dec.count - 1} exponents, got {len(kbar)}")
-    data = _ClassData.__new__(_ClassData)
-    data.group = group
-    data.dec = dec
-    data.table = table
-    data.sizes = dec.sizes
-    data.gamma = len(group.commutator_subgroup())
-    data.count = dec.count
+    algebra = group.class_algebra()
+    if len(kbar) != algebra.count - 1:
+        raise ValueError(f"expected {algebra.count - 1} exponents, got {len(kbar)}")
     mask = 1  # the identity class
     for i, k in enumerate(kbar):
         cls = i + 1
         if k < 0:
-            cls = dec.inverse_class[cls]
+            cls = algebra.inverse_class[cls]
             k = -k
         for _ in range(k):
-            mask = data.mask_times_class(mask, cls)
-    size = data.mask_size(mask)
-    return DefectRecord(tuple(int(k) for k in kbar), mask, size, data.gamma - size)
+            mask = algebra.mask_times_class(mask, cls)
+    size = algebra.mask_size(mask)
+    return DefectRecord(
+        tuple(int(k) for k in kbar), mask, size, algebra.commutator_size - size
+    )
 
 
 @dataclass(frozen=True)
@@ -236,7 +166,7 @@ def defect_series(
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    data = _ClassData(group)
+    data = group.class_algebra()
     if not data.self_inverse:
         truncated = _defect_truncated_signed(data, order, state_budget)
         return DefectSeriesResult(
@@ -330,7 +260,7 @@ def defect_series(
     )
 
 
-def _axis_rays(data: _ClassData) -> tuple[AxisRay, ...]:
+def _axis_rays(data: ClassAlgebra) -> tuple[AxisRay, ...]:
     """Per-class pure power chains C_i^k: the eventually constant defects along
     each axis through the origin."""
     rays = []
@@ -344,7 +274,7 @@ def _axis_rays(data: _ClassData) -> tuple[AxisRay, ...]:
 
 
 def _defect_truncated_signed(
-    data: _ClassData, order: int, state_budget: int
+    data: ClassAlgebra, order: int, state_budget: int
 ) -> TruncatedSeries:
     """Direct truncated enumeration over signed exponent tuples, memoised by
     (class position, reachable mask).  Valid with or without self-inverse
@@ -367,7 +297,7 @@ def _defect_truncated_signed(
         total = list(suffix(i + 1, mask))
         for inverse in (False, True):
             m = mask
-            cls = data.dec.inverse_class[i] if inverse else i
+            cls = data.inverse_class[i] if inverse else i
             for k in range(1, order + 1):
                 m = data.mask_times_class(m, cls)
                 sub = suffix(i + 1, m)
@@ -381,8 +311,11 @@ def _defect_truncated_signed(
 
 
 def is_commutator_length_one(group: FiniteGroupTable) -> bool:
-    """Whether every element of [G,G] is a single commutator (exhaustive)."""
-    return set(group.commutator_subgroup()) == group.commutator_set()
+    """Whether every element of [G,G] is a single commutator, decided
+    exhaustively on class masks: the single commutators are the union of the
+    class products C_i C_i^-1."""
+    algebra = group.class_algebra()
+    return algebra.single_commutator_mask == algebra.commutator_mask
 
 
 @dataclass
@@ -410,8 +343,8 @@ def as_full_conjugation_gf(
             "commutator; the defect formula does not apply"
         )
     defect = defect_series(group, order, state_budget)
-    c = group.conjugacy_classes().count
-    gamma = len(group.commutator_subgroup())
+    algebra = group.class_algebra()
+    c, gamma = algebra.count, algebra.commutator_size
     free_part = expand_rational(RationalGF(ONE_PLUS_T**c, ONE_MINUS_T**c), order)
     square = expand_rational(RationalGF(ONE_PLUS_T**2), order)
     truncated = gamma * free_part - square * defect.truncated

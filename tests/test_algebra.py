@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,13 @@ class TestGroups:
         # abelian: D_1 = Z_2
         assert commutator_subgroup(make_dihedral_group(1)) == (0,)
 
+    def test_cycle_type_classes_match_conjugation_orbits(self):
+        for d in (3, 4, 5, 6):
+            group = make_symmetric_group(d)
+            table = np.array([group.row(a) for a in group.elements()])
+            plain = FiniteGroupTable(group.size, table=table)  # no cycle types
+            assert plain.conjugacy_classes() == group.conjugacy_classes()
+
     def test_lazy_group_matches_dense_products(self):
         s7 = make_symmetric_group(7)
         perms = s7.permutations
@@ -119,6 +127,71 @@ class TestClassProducts:
         trans, four = by_type[(2, 1, 1)], by_type[(4,)]
         expected = (1 << by_type[(2, 2)]) | (1 << by_type[(3, 1)])
         assert table[trans][four] == expected
+
+
+def _cyclic_group(n):
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return FiniteGroupTable(n, table=table, name=f"Z{n}")
+
+
+def _element_commutators(group):
+    """Reference: all n^2 commutators a b a^-1 b^-1 from the full table, and
+    their closure under multiplication, element by element."""
+    table = np.array([group.row(a) for a in group.elements()])
+    inv = np.array([group.inv(a) for a in group.elements()])
+    singles = set(table[table, inv[table.T]].ravel().tolist())
+    gens = sorted(singles)
+    closure, frontier = {0}, [0]
+    while frontier:
+        for y in table[frontier.pop(), gens].tolist():
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return singles, tuple(sorted(closure))
+
+
+def _element_class_product_table(group, dec):
+    """Reference: the classes meeting rep * C_j, one element product at a
+    time (permutation products for symmetric groups)."""
+    perms = getattr(group, "permutations", None)
+    if perms is not None:
+        index = {p: i for i, p in enumerate(perms)}
+        mul = lambda a, b: index[perms[a] * perms[b]]
+    else:
+        mul = group.mul
+    table = [[0] * dec.count for _ in range(dec.count)]
+    for i in range(dec.count):
+        rep = dec.classes[i][0]
+        for j in range(dec.count):
+            for y in dec.classes[j]:
+                table[i][j] |= 1 << dec.class_of[mul(rep, y)]
+    return table
+
+
+class TestClassLevelAgainstElements:
+    GROUPS = (
+        [make_symmetric_group(d) for d in range(1, 7)]
+        + [make_dihedral_group(d) for d in range(1, 13)]
+        + [_cyclic_group(n) for n in (5, 6)]
+    )
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+    def test_commutators(self, group):
+        singles, closure = _element_commutators(group)
+        assert group.commutator_set() == singles
+        assert group.commutator_subgroup() == closure
+
+    @pytest.mark.parametrize(
+        "group",
+        [make_symmetric_group(d) for d in range(3, 8)]
+        + [make_dihedral_group(d) for d in range(5, 13)]
+        # classes of S_d and D_d are self-inverse; Z_n also checks the others
+        + [_cyclic_group(n) for n in (5, 6)],
+        ids=lambda g: g.name,
+    )
+    def test_class_product_table(self, group):
+        dec = group.conjugacy_classes()
+        assert class_product_table(group, dec) == _element_class_product_table(group, dec)
 
 
 class TestSolutions:

@@ -58,6 +58,40 @@ class TestGroupCommand:
         )
         assert code == 3
 
+    def test_permutations_d8(self, capsys):
+        from math import factorial
+
+        from ybe_growth.algebra import make_symmetric_group
+        from ybe_growth.group_growth import DEFAULT_DEFECT_BUDGET, _defect_truncated_signed
+        from ybe_growth.series import ONE, Polynomial, T
+
+        code, out, _ = run_cli(
+            ["group", "--solution", "permutations", "--d", "8", "--order", "3",
+             "--closed-form", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["defect"]["classification"] == "finite"
+        # S_8 has p(8) = 22 conjugacy classes
+        assert Polynomial.from_json(report["closed_form"]["den"]) == (ONE - T) ** 22
+        # every element of S_8 is a generator, taken with its inverse
+        assert report["expansion"]["coefficients"][1] == 2 * factorial(8)
+        # the reported defect series is the closed form's expansion; it must
+        # equal the direct signed enumeration the engine checks it against
+        signed = _defect_truncated_signed(
+            make_symmetric_group(8).class_algebra(), 3, DEFAULT_DEFECT_BUDGET
+        )
+        assert report["defect"]["series"] == signed.to_json()
+
+    def test_permutations_d9_is_usage_error(self, capsys):
+        for command in (["group", "--order", "3"], ["defect-table"]):
+            code, out, err = run_cli(
+                command + ["--solution", "permutations", "--d", "9"], capsys
+            )
+            assert code == 2 and out == ""
+            assert err == "error: permutations supported for 1 <= d <= 8\n"
+
     def test_deterministic_json(self, capsys):
         args = ["group", "--solution", "dihedral", "--d", "5", "--order", "4",
                 "--closed-form", "--format", "json"]
