@@ -186,6 +186,13 @@ class FiniteGroupTable:
         # (p_a * p_b)(i) = p_a[p_b[i]]: gather p_a through every image row
         return self._rank(self._images[a][self._images])
 
+    def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b elementwise over broadcast arrays of elements."""
+        if self._table is not None:
+            return self._table[a, b]
+        a, b = np.broadcast_arrays(a, b)
+        return self._rank(np.take_along_axis(self._images[a], self._images[b], axis=-1))
+
     def inv(self, a: int) -> int:
         return self._inv[a]
 
@@ -586,9 +593,20 @@ class QuandleSolution:
 
     @classmethod
     def from_json(cls, data) -> "QuandleSolution":
+        """Build from {"op": [[...]], "labels": [...]}; malformed data raises
+        ValueError with a one-line reason."""
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(data["op"], labels=data.get("labels"))
+        if not isinstance(data, dict) or "op" not in data:
+            raise ValueError('solution JSON must be an object with an "op" table')
+        op, labels = data["op"], data.get("labels")
+        if not isinstance(op, list) or not all(isinstance(row, list) for row in op):
+            raise ValueError('"op" must be a list of rows')
+        if not all(type(v) is int for row in op for v in row):
+            raise ValueError('"op" entries must be integers')
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError('"labels" must be a list')
+        return cls(op, labels=labels)
 
     def __repr__(self):
         return f"QuandleSolution(size={self.size})"

@@ -3,8 +3,8 @@
 Subcommands: group, monoid, defect-table, egf, normal-form, invariants,
 verify.  Output is deterministic: two runs with the same configuration
 produce byte-identical JSON (timings are therefore printed only in text
-mode).  Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 budget
-exceeded.
+mode).  Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed
+input, 3 budget exceeded (including a verification the budget cut short).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .oracle import (
     DEFAULT_STATE_BUDGET,
     DEFAULT_WORD_BUDGET,
     conjugation_ball_series,
+    full_conjugation_spheres,
     monoid_orbit_enumerate,
 )
 from .reflection_monoid import (
@@ -148,10 +149,7 @@ def cmd_group(args) -> int:
             report["defect"]["diagnostic"] = result.defect.diagnostic
             text.append(f"warning: {result.defect.diagnostic}")
         if args.verify:
-            nontrivial = [x for x in group.elements() if x != 0]
-            part = conjugation_ball_series(group, nontrivial, order, _budget(args))
-            z = [1] + [2] * order
-            oracle = [sum(z[k] * part[n - k] for k in range(n + 1)) for n in range(order + 1)]
+            oracle = full_conjugation_spheres(group, order, _budget(args))
     coeffs = expansion.integer_coefficients()
     report["expansion"] = {"order": order, "coefficients": coeffs}
     text.append(f"coefficients (orders 0..{order}): {coeffs}")
@@ -187,8 +185,16 @@ def cmd_monoid(args) -> int:
     else:
         if not args.input:
             raise UsageError("custom-json needs --input pointing at an operation table")
-        with open(args.input, "r", encoding="utf-8") as fh:
-            sol = QuandleSolution.from_json(json.load(fh))
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read --input {args.input}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise UsageError(f"--input {args.input} is not JSON: {exc}") from None
+        if not isinstance(data, dict):  # from_json would decode a string again
+            raise UsageError(f'--input {args.input} must hold a JSON object with an "op" table')
+        sol = QuandleSolution.from_json(data)
         coeffs = None
         report["note"] = "no closed form for custom solutions; oracle counts only"
         text.append("no closed form for custom solutions; oracle counts only")
@@ -211,11 +217,19 @@ def cmd_monoid(args) -> int:
         if enum.truncated:
             text.append(f"oracle truncated at length {enum.max_length} (budget)")
         if coeffs is not None:
-            verdict = counts == coeffs[: enum.max_length + 1]
+            # a comparison stopped by the budget passes nothing: it either
+            # fails on the checked prefix or is incomplete (exit 3)
+            checked = enum.max_length
+            report["oracle"]["checked_through"] = checked
+            if counts != coeffs[: checked + 1]:
+                verdict, exit_code = False, 1
+            elif checked < order:
+                verdict, exit_code = None, 3
+            else:
+                verdict = True
             report["oracle"]["passed"] = verdict
-            text.append(f"oracle comparison: {'PASS' if verdict else 'FAIL'}")
-            if not verdict:
-                exit_code = 1
+            outcome = {True: "PASS", False: "FAIL", None: "INCOMPLETE"}[verdict]
+            text.append(f"oracle comparison: {outcome} (checked through length {checked} of {order})")
     _emit(report, args, text_lines=text)
     return exit_code
 

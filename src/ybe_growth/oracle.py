@@ -3,9 +3,16 @@ sphere counting for structure groups embedded in (finite group) x Z^k.
 
 Orbits are computed per word length (braiding moves preserve length), with
 words encoded as base-|X| integers so that numeric order equals lexicographic
-order.  Components of the move graph are found with scipy's connected
-components; orbit representatives are the minimal encoded words, which keeps
-every result schedule-independent.
+order.  The orbits of length n+1 are built from those of length n: moves
+inside the first n letters are already merged by the length-n orbits, so the
+length-(n+1) orbits are the connected components of a quotient graph on
+(length-n orbit, last letter) pairs, joined only by the move at the last
+position.  Components are numbered by their minimal encoded word, which is
+also each orbit's representative, so every result is schedule-independent.
+
+The ball BFS keeps each sphere as a sorted numpy array of encoded states
+(group element, lattice vector) and deduplicates a new sphere against the
+two before it.
 """
 
 from __future__ import annotations
@@ -14,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .algebra import FiniteGroupTable, QuandleSolution
 
@@ -41,31 +46,62 @@ def decode_word(code: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_labels(sol: QuandleSolution, length: int) -> tuple[np.ndarray, int]:
-    """Component labels of all words of one length under braiding moves."""
+def _component_roots(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component, for the undirected
+    edges a[i] - b[i]: each round hooks the larger root of every edge whose
+    ends still have different roots under the smaller one, then jumps
+    pointers until every node points at its root."""
+    parent = np.arange(n_nodes, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        live = ra != rb
+        if not live.any():
+            return parent
+        # edges whose ends share a root keep sharing one; drop them
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+
+def _orbit_labels(
+    sol: QuandleSolution, length: int, shorter: Optional[tuple] = None
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Orbit labels of all words of one length under braiding moves, the
+    orbit count, and each orbit's minimal code (ascending: orbits are
+    numbered by their minimal codes).
+
+    `shorter` is this function's result for length - 1.  A word of the new
+    length is u + x (u of length - 1 letters, last letter x); its node in the
+    quotient graph is (label of u, x).  For u ending in y, the move at the
+    last position sends u + x to u' + y, with u' = u whose last letter is
+    replaced by y > x, and that move is the quotient's only kind of edge.
+    """
     base = sol.size
-    count = base**length
-    if length < 2:
-        return np.arange(count, dtype=np.int64), count
+    if length < 2 or not base:
+        codes = np.arange(base**length, dtype=np.int64)
+        return codes, len(codes), codes
+    labels, count, mins = shorter
     op = np.asarray(sol.op, dtype=np.int64)
-    codes = np.arange(count, dtype=np.int64)
-    rows = []
-    cols = []
-    for pos in range(length - 1):
-        # letters at positions pos, pos+1 in big-endian encoding
-        p_hi = base ** (length - 1 - pos)
-        p_lo = base ** (length - 2 - pos)
-        x = (codes // p_hi) % base
-        y = (codes // p_lo) % base
-        moved = codes + (op[x, y] - x) * p_hi + (x - y) * p_lo
-        rows.append(codes)
-        cols.append(moved)
-    graph = coo_matrix(
-        (np.ones(count * (length - 1), dtype=np.int8), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(count, count),
-    )
-    n_components, labels = connected_components(graph, directed=False)
-    return labels.astype(np.int64), n_components
+    nodes = count * base
+    codes = np.arange(len(labels), dtype=np.int64)
+    last = codes % base
+    keys = []
+    for x in range(base):
+        a = labels * base + x
+        b = labels[codes + op[last, x] - last] * base + last
+        keys.append(np.unique(np.minimum(a, b) * nodes + np.maximum(a, b)))
+    keys = np.unique(np.concatenate(keys))
+    roots = _component_roots(nodes, keys // nodes, keys % nodes)
+    # node ids order like minimal codes, since mins ascends: the smallest
+    # node of a component holds its minimal code
+    firsts, node_label = np.unique(roots, return_inverse=True)
+    # row u of the node table holds the labels of the words u + x
+    new_labels = node_label.reshape(count, base)[labels].ravel()
+    return new_labels, len(firsts), mins[firsts // base] * base + firsts % base
 
 
 @dataclass
@@ -112,23 +148,18 @@ def monoid_orbit_enumerate(
     base = sol.size
     spent = 0
     reached = -1
+    shorter = None
     for n in range(max_length + 1):
         word_count = base**n
         if spent + word_count > budget:
             result.truncated = True
             break
         spent += word_count
-        labels, n_orbits = _orbit_labels(sol, n)
+        shorter = _orbit_labels(sol, n, shorter)
+        labels, n_orbits, mins = shorter
         result.counts.append(n_orbits)
-        if n < 2:
-            result._labels.append(None)
-            reps = [decode_word(c, base, n) for c in range(word_count)]
-        else:
-            result._labels.append(labels)
-            min_code = np.full(n_orbits, word_count, dtype=np.int64)
-            np.minimum.at(min_code, labels, np.arange(word_count, dtype=np.int64))
-            reps = [decode_word(int(c), base, n) for c in np.sort(min_code)]
-        result.representatives.append(reps)
+        result._labels.append(labels if n >= 2 else None)
+        result.representatives.append([decode_word(int(c), base, n) for c in mins])
         reached = n
     result.max_length = reached
     return result
@@ -148,9 +179,11 @@ def orbit_equal(
         return True
     if sol.size ** len(w1) > budget:
         raise BudgetExceededError(f"word space {sol.size}^{len(w1)} exceeds budget {budget}")
-    labels, _ = _orbit_labels(sol, len(w1))
-    base = sol.size
-    return labels[encode_word(w1, base)] == labels[encode_word(w2, base)]
+    shorter = None
+    for n in range(len(w1) + 1):
+        shorter = _orbit_labels(sol, n, shorter)
+    labels, base = shorter[0], sol.size
+    return bool(labels[encode_word(w1, base)] == labels[encode_word(w2, base)])
 
 
 @dataclass
@@ -172,9 +205,10 @@ def group_ball_enumerate(
     """BFS sphere sizes from the identity, using generators and inverses.
 
     Each generator is a pair (group element, lattice vector); its inverse is
-    (inverse element, negated vector).  Any generator moves the lattice part
-    by one unit in one coordinate, so states at distance n satisfy |v|_1 <= n
-    automatically.
+    (inverse element, negated vector).  A state (g, v) is one int64 code,
+    g * (2r+1)^rank + the base-(2r+1) code of v shifted by r, where r bounds
+    every coordinate inside the ball (the radius, for unit vectors); when
+    that code would overflow, states are rows (g, v) deduplicated row-wise.
     """
     gens = []
     seen_gens = set()
@@ -186,23 +220,53 @@ def group_ball_enumerate(
     rank = len(gens[0][1]) if gens else 0
     if any(len(v) != rank for _, v in gens):
         raise ValueError("lattice vectors have mismatched ranks")
-    start = (0, (0,) * rank)
-    dist = {start}
-    frontier = [start]
+    elems = np.array([g for g, _ in gens], dtype=np.int64)
+    steps = np.array([v for _, v in gens], dtype=np.int64).reshape(len(gens), rank)
+    # a state within `radius` steps has every coordinate in [-reach, reach]
+    reach = max(radius, 0) * int(np.abs(steps).max(initial=0))
+    digit = 2 * reach + 1
+    span = digit**rank
+    if group.size * span < 2**63:
+        # state code: element * span + lattice code (coordinates shifted by reach)
+        place = digit ** np.arange(rank - 1, -1, -1, dtype=np.int64)
+        shifts = steps @ place
+
+        def advance(states):
+            g, lattice = np.divmod(states, span)
+            return (group.products(g[:, None], elems) * span + lattice[:, None] + shifts).ravel()
+
+        def fresh(candidates, old):
+            codes = np.unique(candidates)
+            return codes[~np.isin(codes, old, assume_unique=True)]
+
+        start = np.array([reach * int(place.sum())], dtype=np.int64)
+    else:
+        # codes would overflow int64: keep states as rows (element, vector)
+
+        def advance(states):
+            g = group.products(states[:, :1], elems).ravel()
+            return np.column_stack([g, (states[:, None, 1:] + steps).reshape(-1, rank)])
+
+        def fresh(candidates, old):
+            rows, inverse = np.unique(
+                np.concatenate([old, candidates]), axis=0, return_inverse=True
+            )
+            inverse = inverse.ravel()
+            return rows[np.setdiff1d(inverse[len(old):], inverse[: len(old)])]
+
+        start = np.zeros((1, rank + 1), dtype=np.int64)
+    # generators are closed under inverses, so a sphere's neighbours lie in
+    # it and in the spheres just before and after it
+    before, frontier = start[:0], start
     spheres = [1]
-    for n in range(1, radius + 1):
-        nxt = []
-        for g, v in frontier:
-            for s, w in gens:
-                state = (group.mul(g, s), tuple(a + b for a, b in zip(v, w)))
-                if state not in dist:
-                    dist.add(state)
-                    nxt.append(state)
-        if len(dist) > budget:
+    states = 1
+    for _ in range(radius):
+        before, frontier = frontier, fresh(advance(frontier), np.concatenate([before, frontier]))
+        states += len(frontier)
+        if states > budget:
             raise BudgetExceededError(f"ball enumeration exceeded {budget} states")
-        spheres.append(len(nxt))
-        frontier = nxt
-    return BallEnumeration(list(gens), radius, spheres, len(dist))
+        spheres.append(len(frontier))
+    return BallEnumeration(list(gens), radius, spheres, states)
 
 
 def conjugation_ball_generators(
@@ -232,6 +296,18 @@ def conjugation_ball_series(
     gens = conjugation_ball_generators(group, subset)
     ball = group_ball_enumerate(gens, group, radius, budget)
     return ball.sphere_sizes
+
+
+def full_conjugation_spheres(
+    group: FiniteGroupTable, radius: int, budget: int = DEFAULT_STATE_BUDGET
+) -> list[int]:
+    """Sphere sizes of As(G), the structure group of the conjugation solution
+    on all of G: the identity generates a central Z factor (spheres 1, 2, 2,
+    ...), convolved with the ball of the identity-free part in G x Z^(c-1)."""
+    nontrivial = [x for x in group.elements() if x != 0]
+    part = conjugation_ball_series(group, nontrivial, radius, budget)
+    z = [1] + [2] * radius
+    return [sum(z[k] * part[n - k] for k in range(n + 1)) for n in range(radius + 1)]
 
 
 # -- orbits over the infinite reflection solution ------------------------------

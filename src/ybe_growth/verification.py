@@ -33,6 +33,7 @@ from .group_growth import (
 )
 from .oracle import (
     conjugation_ball_series,
+    full_conjugation_spheres,
     monoid_orbit_enumerate,
 )
 from .reflection_monoid import (
@@ -77,15 +78,6 @@ class CriterionResult:
             "gating": self.gating,
             "details": self.details,
         }
-
-
-def _full_conjugation_oracle(group, radius: int) -> list[int]:
-    """Sphere sizes of As(G): the central Z factor generated by e_1 convolved
-    with the BFS ball of the identity-free part inside G x Z^(c-1)."""
-    nontrivial = [x for x in group.elements() if x != 0]
-    part = conjugation_ball_series(group, nontrivial, radius)
-    z = [1] + [2] * radius
-    return [sum(z[k] * part[n - k] for k in range(n + 1)) for n in range(radius + 1)]
 
 
 def check_solomon(seed: int = 0) -> CriterionResult:
@@ -212,7 +204,7 @@ def check_full_conjugation(seed: int = 0) -> CriterionResult:
             "group": "S3",
             "closed_form_matches": s3.closed_form
             == RationalGF(Polynomial([3])) * GEOM**3 - 2 * RationalGF(ONE_PLUS_T**3),
-            "oracle": _full_conjugation_oracle(make_symmetric_group(3), 5),
+            "oracle": full_conjugation_spheres(make_symmetric_group(3), 5),
             "expansion": s3.truncated.integer_coefficients(),
         }
     )
@@ -223,7 +215,7 @@ def check_full_conjugation(seed: int = 0) -> CriterionResult:
             "group": "D5",
             "closed_form_matches": d5.closed_form
             == RationalGF(Polynomial([5])) * GEOM**4 - 4 * RationalGF(ONE_PLUS_T**5),
-            "oracle": _full_conjugation_oracle(make_dihedral_group(5), 5),
+            "oracle": full_conjugation_spheres(make_dihedral_group(5), 5),
             "expansion": d5.truncated.integer_coefficients(),
         }
     )
@@ -240,7 +232,7 @@ def check_full_conjugation(seed: int = 0) -> CriterionResult:
     rows.append(
         {
             "group": "S4 (via truncated defect)",
-            "oracle": _full_conjugation_oracle(make_symmetric_group(4), 5),
+            "oracle": full_conjugation_spheres(make_symmetric_group(4), 5),
             "expansion": s4.truncated.integer_coefficients(),
         }
     )

@@ -89,6 +89,18 @@ class TestGroups:
         for a, b in [(1, 2), (100, 200), (3000, 44)]:
             assert perms[s7.mul(a, b)] == perms[a] * perms[b]
 
+    def test_broadcast_products_match_permutation_products(self):
+        rng = np.random.default_rng(3)
+        for group in (make_symmetric_group(4), make_symmetric_group(7)):
+            perms = group.permutations
+            a = rng.integers(group.size, size=(5, 1))
+            b = rng.integers(group.size, size=4)
+            out = group.products(a, b)
+            assert out.shape == (5, 4)
+            for i in range(5):
+                for j in range(4):
+                    assert perms[out[i, j]] == perms[a[i, 0]] * perms[b[j]]
+
     def test_json_round_trip(self):
         group = make_dihedral_group(4)
         again = FiniteGroupTable.from_json(group.to_json())

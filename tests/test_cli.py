@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from ybe_growth.cli import main
 
 
@@ -135,6 +138,136 @@ class TestMonoidCommand:
         report = json.loads(out)
         assert report["oracle"]["counts"] == [1, 3, 5, 6, 6]
         assert "no closed form" in report["note"]
+
+
+    def test_budget_zero_is_incomplete_not_pass(self, capsys):
+        args = ["monoid", "--solution", "reflections", "--d", "5", "--order", "4",
+                "--verify", "--budget-states", "0"]
+        code, out, _ = run_cli(args + ["--format", "json"], capsys)
+        assert code == 3
+        oracle = json.loads(out)["oracle"]
+        assert oracle["counts"] == [] and oracle["checked_through"] == -1
+        assert oracle["passed"] is None and oracle["truncated"] is True
+        code, out, _ = run_cli(args, capsys)
+        assert code == 3
+        assert "INCOMPLETE" in out and "PASS" not in out
+
+    def test_budget_five_checks_a_prefix_only(self, capsys):
+        # T_3 has 3 letters: lengths 0 and 1 use 4 of the 5 words, length 2 needs 9
+        code, out, _ = run_cli(
+            ["monoid", "--solution", "transpositions", "--d", "3", "--order", "6",
+             "--verify", "--budget-states", "5", "--format", "json"],
+            capsys,
+        )
+        assert code == 3
+        oracle = json.loads(out)["oracle"]
+        assert oracle["counts"] == [1, 3] and oracle["checked_through"] == 1
+        assert oracle["passed"] is None
+
+    def test_complete_verify_reports_checked_through(self, capsys):
+        code, out, _ = run_cli(
+            ["monoid", "--solution", "transpositions", "--d", "3", "--order", "4",
+             "--verify", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["checked_through"] == 4 and oracle["passed"] is True
+
+
+def _custom_json(path, capsys):
+    return run_cli(
+        ["monoid", "--solution", "custom-json", "--input", str(path), "--order", "2"], capsys
+    )
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestMalformedCustomJson:
+    def test_missing_file(self, tmp_path, capsys):
+        _assert_input_error(*_custom_json(tmp_path / "absent.json", capsys))
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        _assert_input_error(*_custom_json(tmp_path, capsys))
+
+    def test_not_json(self, tmp_path, capsys):
+        path = tmp_path / "sol.json"
+        path.write_text('{"op": [[0, 1], [1')
+        _assert_input_error(*_custom_json(path, capsys))
+
+    def test_missing_op(self, tmp_path, capsys):
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps({"size": 2, "labels": ["a", "b"]}))
+        _assert_input_error(*_custom_json(path, capsys))
+
+    def test_json_string_document(self, tmp_path, capsys):
+        # a valid table serialised twice is a JSON string, not an object
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps(json.dumps({"op": [[0]]})))
+        _assert_input_error(*_custom_json(path, capsys))
+
+    def test_null_entries(self, tmp_path, capsys):
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps({"op": [[0, None], [1, 1]]}))
+        _assert_input_error(*_custom_json(path, capsys))
+
+    @staticmethod
+    def _malformed():
+        """Tables that are non-square, hold a non-integer or out-of-range
+        entry, or lack the "op" key."""
+        size = st.integers(1, 5)
+
+        def trivial(n):
+            return [list(range(n)) for _ in range(n)]
+
+        def replace(n, cell, value):
+            op = trivial(n)
+            op[cell // n][cell % n] = value
+            return {"op": op}
+
+        non_square = size.flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=0, max_size=6), min_size=n, max_size=n
+            )
+            .filter(lambda rows: any(len(row) != n for row in rows))
+            .map(lambda rows: {"op": rows})
+        )
+        bad_value = st.one_of(
+            st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+            st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers()),
+        )
+        non_integer = size.flatmap(
+            lambda n: st.tuples(st.integers(0, n * n - 1), bad_value).map(lambda cv: replace(n, *cv))
+        )
+        out_of_range = size.flatmap(
+            lambda n: st.tuples(
+                st.integers(0, n * n - 1),
+                st.one_of(st.integers(-(10**12), -1), st.integers(n, 10**12)),
+            ).map(lambda cv: replace(n, *cv))
+        )
+        missing_keys = st.one_of(
+            st.dictionaries(st.sampled_from(["size", "labels", "ops", "table"]), st.integers(0, 3)),
+            st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3),
+            st.integers(),
+            st.text(max_size=5),
+            st.none(),
+        )
+        return st.one_of(non_square, non_integer, out_of_range, missing_keys)
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzzed_tables_exit_2(self, data, tmp_path, capsys):
+        table = data.draw(self._malformed())
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps(table))
+        _assert_input_error(*_custom_json(path, capsys))
 
 
 class TestDefectTable:

@@ -16,7 +16,7 @@ from ybe_growth.group_growth import (
     is_commutator_length_one,
     solomon_series,
 )
-from ybe_growth.oracle import conjugation_ball_series
+from ybe_growth.oracle import conjugation_ball_series, full_conjugation_spheres
 from ybe_growth.series import (
     ONE,
     Polynomial,
@@ -290,11 +290,7 @@ class TestNonSelfInverseClasses:
             result = as_full_conjugation_gf(group, 4)
             expected = expand_rational(RationalGF((ONE + T) ** n, ONE_MINUS_T**n), 4)
             assert result.truncated.coeffs == expected.coeffs
-            nontrivial = [x for x in group.elements() if x != 0]
-            part = conjugation_ball_series(group, nontrivial, 4)
-            z = [1] + [2] * 4
-            oracle = [sum(z[k] * part[m - k] for k in range(m + 1)) for m in range(5)]
-            assert oracle == result.truncated.integer_coefficients()
+            assert full_conjugation_spheres(group, 4) == result.truncated.integer_coefficients()
 
 
 class TestFullConjugation:
@@ -352,11 +348,7 @@ class TestFullConjugation:
         for make, d in ((make_symmetric_group, 3), (make_symmetric_group, 4)):
             group = make(d)
             result = as_full_conjugation_gf(group, 5)
-            nontrivial = [x for x in group.elements() if x != 0]
-            part = conjugation_ball_series(group, nontrivial, 5)
-            z = [1] + [2] * 5
-            oracle = [sum(z[k] * part[n - k] for k in range(n + 1)) for n in range(6)]
-            assert oracle == result.truncated.integer_coefficients()
+            assert full_conjugation_spheres(group, 5) == result.truncated.integer_coefficients()
 
     def test_even_dihedral_matches_oracle(self):
         # the engine only requires commutator length 1; the sphere oracle
@@ -364,11 +356,7 @@ class TestFullConjugation:
         for d in (4, 6):
             group = make_dihedral_group(d)
             result = as_full_conjugation_gf(group, 5)
-            nontrivial = [x for x in group.elements() if x != 0]
-            part = conjugation_ball_series(group, nontrivial, 5)
-            z = [1] + [2] * 5
-            oracle = [sum(z[k] * part[n - k] for k in range(n + 1)) for n in range(6)]
-            assert oracle == result.truncated.integer_coefficients()
+            assert full_conjugation_spheres(group, 5) == result.truncated.integer_coefficients()
 
     def test_trivial_group(self):
         # the conjugation solution on the one-element group has structure

@@ -1,7 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from ybe_growth.algebra import (
+    FiniteGroupTable,
     QuandleSolution,
+    dihedral_reflections,
+    full_conjugation_solution,
     make_dihedral_group,
     make_symmetric_group,
     reflection_solution,
@@ -10,6 +16,7 @@ from ybe_growth.algebra import (
 )
 from ybe_growth.oracle import (
     BudgetExceededError,
+    conjugation_ball_generators,
     conjugation_ball_series,
     group_ball_enumerate,
     monoid_orbit_enumerate,
@@ -143,3 +150,184 @@ class TestInfiniteReflectionOrbits:
         assert not reflection_orbit_equal_infinite((0, 1), (2, 1))
         # one braiding move apart: found immediately
         assert reflection_orbit_equal_infinite((1, 2), (0, 1))
+
+
+# -- plain-Python references, sharing no code with the oracle kernels ---------
+
+
+def _reference_orbits(op, length):
+    """Orbits of the words of one length: a search over tuples along every
+    move (x, y) -> (x > y, x) and its inverse, sorted by minimal word."""
+    n = len(op)
+    # inverse move: (u, x) -> (x, y) with x > y = u
+    solve = {(x, op[x][y]): y for x in range(n) for y in range(n)}
+    seen = set()
+    orbits = []
+    for word in itertools.product(range(n), repeat=length):
+        if word in seen:
+            continue
+        orbit = {word}
+        stack = [word]
+        while stack:
+            w = stack.pop()
+            for i in range(length - 1):
+                a, b = w[i], w[i + 1]
+                for pair in ((op[a][b], a), (b, solve[b, a])):
+                    moved = w[:i] + pair + w[i + 2 :]
+                    if moved not in orbit:
+                        orbit.add(moved)
+                        stack.append(moved)
+        seen |= orbit
+        orbits.append(orbit)
+    return sorted(orbits, key=min)
+
+
+def _relabelled(sol, seed):
+    perm = list(range(sol.size))
+    random.Random(seed).shuffle(perm)
+    op = [[0] * sol.size for _ in range(sol.size)]
+    for x in range(sol.size):
+        for y in range(sol.size):
+            op[perm[x]][perm[y]] = perm[sol.op[x][y]]
+    return QuandleSolution(op)
+
+
+ORBIT_CASES = {
+    "S3-full": (lambda: full_conjugation_solution(make_symmetric_group(3)), 5),
+    "S4-full": (lambda: full_conjugation_solution(make_symmetric_group(4)), 3),
+    "D5-full": (lambda: full_conjugation_solution(make_dihedral_group(5)), 4),
+    "R7-relabelled": (lambda: _relabelled(reflection_solution(7), 11), 5),
+    "trivial-4": (lambda: QuandleSolution([list(range(4)) for _ in range(4)]), 6),
+    "T4": (lambda: transposition_solution(4), 5),
+}
+
+
+class TestOrbitsAgainstReference:
+    @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+    def test_counts_representatives_and_labels(self, case):
+        make, max_length = ORBIT_CASES[case]
+        sol = make()
+        enum = monoid_orbit_enumerate(sol, max_length)
+        assert enum.max_length == max_length and not enum.truncated
+        for n in range(max_length + 1):
+            orbits = _reference_orbits(sol.op, n)
+            assert enum.counts[n] == len(orbits)
+            assert enum.representatives[n] == [min(orbit) for orbit in orbits]
+            for index, orbit in enumerate(orbits):
+                for word in orbit:
+                    assert enum.orbit_id(word) == (n, index)
+
+    def test_non_involutory_cases_are_non_involutory(self):
+        for case in ("S3-full", "S4-full", "D5-full"):
+            op = ORBIT_CASES[case][0]().op
+            assert any(op[x][op[x][y]] != y for x in range(len(op)) for y in range(len(op)))
+
+    def test_orbit_equal_matches_reference(self):
+        sol = full_conjugation_solution(make_symmetric_group(3))
+        orbits = _reference_orbits(sol.op, 4)
+        rng = random.Random(5)
+        for _ in range(40):
+            first, second = rng.choice(orbits), rng.choice(orbits)
+            w1, w2 = rng.choice(sorted(first)), rng.choice(sorted(second))
+            assert orbit_equal(sol, w1, w2) == (first is second)
+
+    def test_budget_edge(self):
+        sol = transposition_solution(3)
+        total = sum(3**n for n in range(6))
+        enum = monoid_orbit_enumerate(sol, 5, budget=total)
+        assert not enum.truncated and enum.max_length == 5
+        enum = monoid_orbit_enumerate(sol, 5, budget=total - 1)
+        assert enum.truncated and enum.max_length == 4
+
+
+def _reference_spheres(generators, mul, inv, radius):
+    """Sphere sizes by BFS over a Python set of (element, vector) states."""
+    moves = set()
+    for g, vec in generators:
+        moves.add((g, tuple(vec)))
+        moves.add((inv(g), tuple(-c for c in vec)))
+    start = (0, (0,) * len(generators[0][1]))
+    seen = {start}
+    frontier = [start]
+    spheres = [1]
+    for _ in range(radius):
+        nxt = []
+        for g, v in frontier:
+            for s, w in moves:
+                state = (mul(g, s), tuple(a + b for a, b in zip(v, w)))
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        spheres.append(len(nxt))
+        frontier = nxt
+    return spheres
+
+
+def _table_ops(group):
+    table = group.to_json()["mult"]
+    inverse = {a: b for a in range(group.size) for b in range(group.size) if table[a][b] == 0}
+    return (lambda a, b: table[a][b]), inverse.__getitem__
+
+
+def _permutation_ops(group):
+    perms = group.permutations
+    index = {p.images: i for i, p in enumerate(perms)}
+    return (
+        lambda a, b: index[(perms[a] * perms[b]).images],
+        lambda a: index[perms[a].inverse().images],
+    )
+
+
+def _cyclic_lattice():
+    """Z2 with 40 generators (1, e_i): codes over 40 coordinates overflow int64."""
+    group = FiniteGroupTable(2, table=[[0, 1], [1, 0]], name="Z2")
+    gens = [(1, tuple(int(i == j) for j in range(40))) for i in range(40)]
+    return group, gens
+
+
+def _conjugation(make, d, subset):
+    group = make(d)
+    return group, conjugation_ball_generators(group, subset(group))
+
+
+BALL_CASES = {
+    "D10-full": (lambda: _conjugation(make_dihedral_group, 10, lambda g: range(1, g.size)), 4, _table_ops),
+    "S4-full": (lambda: _conjugation(make_symmetric_group, 4, lambda g: range(1, g.size)), 4, _table_ops),
+    "S6-transpositions": (
+        lambda: _conjugation(make_symmetric_group, 6, symmetric_transpositions), 5, _table_ops
+    ),
+    "D12-reflections": (
+        lambda: _conjugation(make_dihedral_group, 12, dihedral_reflections), 12, _table_ops
+    ),
+    "S7-transpositions": (
+        lambda: _conjugation(make_symmetric_group, 7, symmetric_transpositions), 3, _permutation_ops
+    ),
+    "Z2-rank40": (_cyclic_lattice, 2, _table_ops),
+}
+
+
+class TestBallsAgainstReference:
+    @pytest.mark.parametrize("case", sorted(BALL_CASES))
+    def test_spheres(self, case):
+        make, radius, ops = BALL_CASES[case]
+        group, gens = make()
+        ball = group_ball_enumerate(gens, group, radius)
+        assert ball.sphere_sizes == _reference_spheres(gens, *ops(group), radius)
+        assert ball.states == sum(ball.sphere_sizes)
+
+    def test_cases_cover_both_group_stores_and_the_overflow_fallback(self):
+        group, _ = BALL_CASES["S7-transpositions"][0]()
+        with pytest.raises(ValueError, match="too large"):
+            group.to_json()  # S7 keeps permutation images, not a table
+        group, gens = _cyclic_lattice()
+        radius = BALL_CASES["Z2-rank40"][1]
+        assert group.size * (2 * radius + 1) ** len(gens[0][1]) >= 2**63
+
+    @pytest.mark.parametrize("case", ["D10-full", "Z2-rank40"])
+    def test_budget_edge(self, case):
+        make, radius, _ = BALL_CASES[case]
+        group, gens = make()
+        total = group_ball_enumerate(gens, group, radius).states
+        assert group_ball_enumerate(gens, group, radius, budget=total).states == total
+        with pytest.raises(BudgetExceededError):
+            group_ball_enumerate(gens, group, radius, budget=total - 1)
