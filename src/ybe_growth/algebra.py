@@ -516,7 +516,7 @@ def make_dihedral_group(d: int) -> FiniteGroupTable:
 
     Reflection s_i is the reflection fixing vertex i (odd d); for even d the
     indices follow the same abstract rule s_i s_j = rho^(i-j), under which
-    conjугation acts as s_i > s_j = s_{2i-j} for every d.
+    conjugation acts as s_i > s_j = s_{2i-j} for every d.
     """
     if not 1 <= d <= 1000:
         raise ValueError("dihedral group supported for 1 <= d <= 1000")

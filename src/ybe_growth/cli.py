@@ -66,11 +66,19 @@ class UsageError(Exception):
 
 def _budget(args, default: int = DEFAULT_STATE_BUDGET) -> int:
     if args.budget_states is not None:
-        return args.budget_states
-    env = os.environ.get("YBE_GROWTH_BUDGET")
-    if env:
-        return int(env)
-    return default
+        source, budget = "--budget-states", args.budget_states
+    else:
+        env = os.environ.get("YBE_GROWTH_BUDGET")
+        if not env:
+            return default
+        source = "YBE_GROWTH_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise UsageError(f"{source} must be non-negative, got {budget}")
+    return budget
 
 
 def _base_report(args, command: str) -> dict:

@@ -183,37 +183,43 @@ def defect_series(
         if ops[0] > state_budget:
             raise BudgetExceededError("defect closed-form extraction exceeded state budget")
 
-    # values are pairs (num, e) standing for num / (1 - t^2)^e, kept normalised
-    # so denominators never compound during the recursion
-    memo: dict[tuple[int, int], tuple[Polynomial, int]] = {}
+    # suffix(i, mask) is an integer polynomial (ascending coefficients) over
+    # (1 - t^2)^(count - i): each class contributes one factor, through its
+    # tail, so denominators never compound.  Memo lists are shared: never
+    # mutate one.
+    memo: dict[tuple[int, int], list[int]] = {}
 
-    def gadd(a: tuple[Polynomial, int], b: tuple[Polynomial, int]) -> tuple[Polynomial, int]:
-        (na, ea), (nb, eb) = a, b
-        e = max(ea, eb)
-        return na * ONE_MINUS_T2 ** (e - ea) + nb * ONE_MINUS_T2 ** (e - eb), e
+    def add_shifted(total: list[int], k: int, num: list[int]) -> None:
+        """total += 2 t^k num, in place."""
+        if len(total) < k + len(num):
+            total.extend([0] * (k + len(num) - len(total)))
+        for j, c in enumerate(num, k):
+            total[j] += 2 * c
 
-    def suffix(i: int, mask: int) -> tuple[Polynomial, int]:
+    def suffix(i: int, mask: int) -> list[int]:
         if i == data.count:
-            return Polynomial([data.defect_of_mask(mask)]), 0
+            return [data.defect_of_mask(mask)]
         key = (i, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
         prefix, s = data.chain(mask, i)
         spend(len(prefix))
-        total = suffix(i + 1, prefix[0])  # k = 0, weight 1
+        total = list(suffix(i + 1, prefix[0]))  # k = 0, weight 1
         for k in range(1, len(prefix)):
-            num, e = suffix(i + 1, prefix[k])
-            total = gadd(total, ((2 * num).shift(k), e))
-        # tail: masks alternate between prefix[s] and prefix[s+1] from k = s+2 on
-        for offset, tail_mask in ((s + 2, prefix[s]), (s + 3, prefix[s + 1])):
-            num, e = suffix(i + 1, tail_mask)
-            total = gadd(total, ((2 * num).shift(offset), e + 1))
+            add_shifted(total, k, suffix(i + 1, prefix[k]))
+        # tail: masks alternate between prefix[s] and prefix[s+1] from k = s+2
+        # on, a series in t^2, so the finite part takes one more (1 - t^2)
+        total.extend((0, 0))
+        for j in range(len(total) - 1, 1, -1):
+            total[j] -= total[j - 2]
+        add_shifted(total, s + 2, suffix(i + 1, prefix[s]))
+        add_shifted(total, s + 3, suffix(i + 1, prefix[s + 1]))
         memo[key] = total
         return total
 
     try:
-        num, den_power = suffix(1, 1)
+        num, den_power = Polynomial(suffix(1, 1)), data.count - 1
     except BudgetExceededError as exc:
         truncated = _defect_truncated_signed(data, order, state_budget * 10)
         return DefectSeriesResult(

@@ -24,13 +24,6 @@ from .series import ONE, Polynomial, RationalGF, T
 ONE_MINUS_T = ONE - T
 
 
-def _gcd_all(*values: int) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(v))
-    return g
-
-
 @dataclass(frozen=True)
 class ReflectionWord:
     """Word in the letters e_a over the integers (modulus None) or Z_d."""
@@ -106,11 +99,11 @@ def invariants(word: ReflectionWord) -> InvariantTuple:
     weight = sum(a if i % 2 == 0 else -a for i, a in enumerate(letters))
     diffs = [letters[i] - letters[i + 1] for i in range(n - 1)]
     if d is None:
-        density = _gcd_all(*diffs) if n >= 2 else 0
+        density = math.gcd(*diffs)
         anchor = letters[0] % density if density > 0 else letters[0]
     else:
         weight %= d
-        density = _gcd_all(d, *diffs)
+        density = math.gcd(d, *diffs)
         anchor = letters[0] % density
     even, odd = _essential_lengths(letters, n, d, density, anchor)
     return InvariantTuple(d, weight, density, anchor, even, odd, n)
@@ -267,7 +260,7 @@ def density_of_product(t1: InvariantTuple, t2: InvariantTuple) -> int:
     """Density of a product from the factors' densities and anchors."""
     if t1.modulus != t2.modulus:
         raise ValueError("tuples from different moduli")
-    return _gcd_all(t1.density, t2.density, t1.anchor - t2.anchor)
+    return math.gcd(t1.density, t2.density, t1.anchor - t2.anchor)
 
 
 # -- constructive arithmetic lemmas --------------------------------------------
@@ -292,19 +285,13 @@ def _crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     """Solve x = r (mod m) for pairwise coprime moduli; returns (x, lcm)."""
     x, m = 0, 1
     for r, mod in congruences:
-        g, inv_m, _ = _egcd(m % mod, mod)
-        if g != 1:
-            raise ValueError("moduli not coprime")
+        try:
+            inv_m = pow(m, -1, mod)
+        except ValueError:
+            raise ValueError("moduli not coprime") from None
         x += m * ((r - x) * inv_m % mod)
         m *= mod
     return x % m, m
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> int:
@@ -321,7 +308,7 @@ def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> 
             raise ValueError("parity must be 0 or 1")
         if (a - b) % 2 == 0:
             raise ValueError("parity constraint needs a, b of different parity")
-    g = _gcd_all(a, b, c)
+    g = math.gcd(a, b, c)
     ar, br, cr = a // g, b // g, c // g
     congruences = []
     for p in _prime_factors(br - ar):
@@ -334,7 +321,7 @@ def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> 
             n += mod
         if n < 1:
             n = mod
-        if _gcd_all(a + n * c, b + n * c) == g and (parity is None or n % 2 == parity):
+        if math.gcd(a + n * c, b + n * c) == g and (parity is None or n % 2 == parity):
             return n
     except ValueError:
         pass
@@ -342,7 +329,7 @@ def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> 
     start = 1 if parity is None or parity == 1 else 2
     bound = 4 * abs(b - a) * max(abs(c), 1) + 16
     for n in range(start, bound, step):
-        if _gcd_all(a + n * c, b + n * c) == g:
+        if math.gcd(a + n * c, b + n * c) == g:
             return n
     raise ArithmeticError(f"no witness found for ({a}, {b}, {c}, parity={parity})")
 
@@ -351,7 +338,7 @@ def _pair_lift(x: int, a: int, d: int) -> int:
     """m with gcd(x, a + m d) = gcd(d, x, a); needs x != 0."""
     if x == 0:
         raise ValueError("anchor must be nonzero")
-    g = _gcd_all(d, x, a)
+    g = math.gcd(d, x, a)
     xr, ar, dr = x // g, a // g, d // g
     congruences = []
     for p in _prime_factors(xr):
@@ -360,7 +347,7 @@ def _pair_lift(x: int, a: int, d: int) -> int:
         inv = pow(dr % p, -1, p)
         congruences.append(((1 - ar) * inv % p, p))
     m = _crt(congruences)[0] if congruences else 0
-    if _gcd_all(x, a + m * d) != g:
+    if math.gcd(x, a + m * d) != g:
         raise AssertionError("pairwise lift failed verification")
     return m
 
@@ -373,7 +360,7 @@ def lift_to_coprime(values: Sequence[int], d: int, force_odd: bool = False) -> l
         raise ValueError("need at least two values")
     if force_odd and d % 2 == 0:
         raise ValueError("force_odd requires odd d")
-    target = _gcd_all(d, *values)
+    target = math.gcd(d, *values)
     if d == 0:
         return [0] * len(values)
     if force_odd:
@@ -394,7 +381,7 @@ def lift_to_coprime(values: Sequence[int], d: int, force_odd: bool = False) -> l
             m = _pair_lift(lifted[anchor], v, step)
             result[i] = base[i] + m * (step // d)
     final = [v + m * d for v, m in zip(values, result)]
-    if _gcd_all(*final) != target:
+    if math.gcd(*final) != target:
         raise AssertionError("coprime lift failed verification")
     if force_odd and any(v % 2 == 0 for v in final):
         raise AssertionError("coprime lift failed the parity requirement")

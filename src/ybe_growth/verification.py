@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import gcd
 from typing import Callable, Optional
 
 from .algebra import (
@@ -44,7 +45,6 @@ from .reflection_monoid import (
     normal_form as reflection_normal_form,
     push_through,
     triple_gcd_witness,
-    _gcd_all,
 )
 from .series import ONE, Polynomial, RationalGF, T, expand_rational
 from .transposition_monoid import (
@@ -453,7 +453,7 @@ def check_constructive_lemmas(seed: int = 0, cases: int = 100000) -> CriterionRe
         if (a - b) % 2 == 1 and rng.random() < 0.5:
             parity = rng.randint(0, 1)
         n = triple_gcd_witness(a, b, c, parity)
-        if n < 1 or _gcd_all(a + n * c, b + n * c) != _gcd_all(a, b, c):
+        if n < 1 or gcd(a + n * c, b + n * c) != gcd(a, b, c):
             gcd_ok = False
             break
         if parity is not None and n % 2 != parity:
@@ -467,7 +467,7 @@ def check_constructive_lemmas(seed: int = 0, cases: int = 100000) -> CriterionRe
         force_odd = d % 2 == 1 and rng.random() < 0.5
         m = lift_to_coprime(values, d, force_odd)
         final = [v + mi * d for v, mi in zip(values, m)]
-        if _gcd_all(*final) != _gcd_all(d, *values):
+        if gcd(*final) != gcd(d, *values):
             lift_ok = False
             break
         if force_odd and any(v % 2 == 0 for v in final):

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ybe_growth
 from ybe_growth.cli import main
 
 
@@ -12,6 +14,12 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_budget_usage_error(result, source):
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and source in err
 
 
 class TestGroupCommand:
@@ -60,6 +68,13 @@ class TestGroupCommand:
             capsys,
         )
         assert code == 3
+
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch):
+        args = ["group", "--solution", "transpositions", "--d", "3", "--order", "3", "--verify"]
+        assert_budget_usage_error(run_cli(args + ["--budget-states", "-1"], capsys),
+                                  "--budget-states")
+        monkeypatch.setenv("YBE_GROWTH_BUDGET", "-1")
+        assert_budget_usage_error(run_cli(args, capsys), "YBE_GROWTH_BUDGET")
 
     def test_permutations_d8(self, capsys):
         from math import factorial
@@ -163,6 +178,13 @@ class TestMonoidCommand:
         oracle = json.loads(out)["oracle"]
         assert oracle["counts"] == [1, 3] and oracle["checked_through"] == 1
         assert oracle["passed"] is None
+
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch):
+        args = ["monoid", "--solution", "reflections", "--d", "5", "--order", "4", "--verify"]
+        assert_budget_usage_error(run_cli(args + ["--budget-states", "-1"], capsys),
+                                  "--budget-states")
+        monkeypatch.setenv("YBE_GROWTH_BUDGET", "-5")
+        assert_budget_usage_error(run_cli(args, capsys), "YBE_GROWTH_BUDGET")
 
     def test_complete_verify_reports_checked_through(self, capsys):
         code, out, _ = run_cli(
@@ -291,6 +313,14 @@ class TestDefectTable:
         # one element from each rotation-pair class (reflections are class 3 here)
         assert defects[(1, 1, 0)] == 1
 
+    def test_bad_budget_is_usage_error(self, capsys, monkeypatch):
+        args = ["defect-table", "--solution", "permutations", "--d", "3"]
+        assert_budget_usage_error(run_cli(args + ["--budget-states", "-3"], capsys),
+                                  "--budget-states")
+        for value in ("-3", "many", "1.5"):
+            monkeypatch.setenv("YBE_GROWTH_BUDGET", value)
+            assert_budget_usage_error(run_cli(args, capsys), "YBE_GROWTH_BUDGET")
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             ["defect-table", "--solution", "permutations", "--d", "3",
@@ -368,3 +398,10 @@ class TestEntryPoint:
             [sys.executable, "-m", "ybe_growth.cli"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+    def test_package_sources_are_ascii(self):
+        sources = sorted(Path(ybe_growth.__file__).parent.glob("*.py"))
+        assert len(sources) > 1
+        for path in sources:
+            for number, line in enumerate(path.read_bytes().splitlines(), 1):
+                assert line.isascii(), f"{path.name}:{number} is not ASCII"

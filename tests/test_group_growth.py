@@ -7,6 +7,8 @@ from ybe_growth.algebra import (
     symmetric_transpositions,
 )
 from ybe_growth.group_growth import (
+    DEFAULT_DEFECT_BUDGET,
+    _defect_truncated_signed,
     as_full_conjugation_gf,
     as_reflections_group_gf,
     as_transpositions_group_gf,
@@ -28,6 +30,9 @@ from ybe_growth.series import (
 
 ONE_MINUS_T = ONE - T
 GEOM = RationalGF(ONE + T, ONE_MINUS_T)
+DEEP_GROUPS = [(make_dihedral_group, d) for d in range(3, 25)] + [
+    (make_symmetric_group, d) for d in range(3, 7)
+]
 
 
 class TestClass2Lift:
@@ -230,6 +235,26 @@ class TestDefectSeries:
             assert (
                 expand_rational(res.closed_form, 12).coeffs == res.truncated.coeffs
             )
+
+    @pytest.mark.parametrize(
+        "make, d", DEEP_GROUPS, ids=[f"{m.__name__[5].upper()}{d}" for m, d in DEEP_GROUPS]
+    )
+    def test_recursion_matches_enumeration_to_order_30(self, make, d):
+        # deeper than the engine's own self-check, which stops at the requested order
+        group = make(d)
+        deep = _defect_truncated_signed(group.class_algebra(), 30, DEFAULT_DEFECT_BUDGET * 10)
+        result = defect_series(group, 6)
+        if result.closed_form is not None:
+            assert expand_rational(result.closed_form, 30) == deep
+        else:
+            # no closed form is emitted; at order 30 the engine expands the
+            # recursion's rational function and checks it against enumeration
+            assert result.classification == "truncated-only"
+            assert defect_series(group, 30).truncated == deep
+
+    def test_repeated_calls_agree(self):
+        for group in (make_dihedral_group(12), make_dihedral_group(13), make_symmetric_group(5)):
+            assert defect_series(group, 8) == defect_series(group, 8)
 
 
 def _element_level_defect_coefficients(group, order):
