@@ -22,6 +22,8 @@ import numpy as np
 from .series import TruncatedSeries
 
 DENSE_LIMIT = 2100
+# largest quandle accepted: validation checks all n^3 triples
+MAX_SOLUTION_SIZE = 512
 
 
 class Permutation:
@@ -333,14 +335,6 @@ class FiniteGroupTable:
         return f"FiniteGroupTable({self.name}, size={self.size})"
 
 
-def commutator_subgroup(group: FiniteGroupTable) -> tuple[int, ...]:
-    return group.commutator_subgroup()
-
-
-def conjugacy_classes(group: FiniteGroupTable) -> ConjugacyDecomposition:
-    return group.conjugacy_classes()
-
-
 def class_product_table(
     group: FiniteGroupTable, dec: ConjugacyDecomposition
 ) -> list[list[int]]:
@@ -544,8 +538,9 @@ class QuandleSolution:
     """A finite quandle (X, >) presented as the YBE solution (x,y) -> (x>y, x).
 
     Validation runs on construction: left translations must be bijections,
-    the operation idempotent, and self-distributivity must hold (exhaustively
-    for n <= 64, on a deterministic sample beyond that).
+    the operation idempotent, and self-distributivity must hold on every
+    triple, which costs n^3 table lookups; tables with more than
+    MAX_SOLUTION_SIZE elements are refused.
     """
 
     __slots__ = ("op", "labels")
@@ -570,19 +565,21 @@ class QuandleSolution:
 
     def _validate(self) -> None:
         n = self.size
+        if n > MAX_SOLUTION_SIZE:
+            raise ValueError(f"solution of size {n} exceeds the validation limit {MAX_SOLUTION_SIZE}")
         full = set(range(n))
         for x in range(n):
             if set(self.op[x]) != full:
                 raise ValueError(f"left translation by {x} is not a bijection")
             if self.op[x][x] != x:
                 raise ValueError(f"idempotence fails at {x}")
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(n)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(200000))
-        for x, y, z in triples:
-            if self.op[x][self.op[y][z]] != self.op[self.op[x][y]][self.op[x][z]]:
+        op = np.array(self.op, dtype=np.intp).reshape(n, n)
+        flat = op.ravel()
+        for x, row in enumerate(op):
+            # x > (y > z) against (x > y) > (x > z), over all (y, z) at once
+            bad = row[op] != flat[(row * n)[:, None] + row]
+            if bad.any():
+                y, z = np.argwhere(bad)[0]
                 raise ValueError(f"self-distributivity fails at ({x},{y},{z})")
 
     def yang_baxter_map(self, x: int, y: int) -> tuple[int, int]:

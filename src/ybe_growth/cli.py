@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -300,12 +301,15 @@ def cmd_defect_table(args) -> int:
 def _nonzero_defects(algebra, order) -> list[dict]:
     """Rows of every non-negative exponent vector with |kbar| <= order and a
     nonzero defect; the walk carries the product mask, so each step is one
-    mask-times-class product."""
+    mask-times-class product.  The walk meets few distinct masks, so mask
+    sizes and products are memoised for its duration."""
     out = []
+    mask_size = functools.cache(algebra.mask_size)
+    mask_times_class = functools.cache(algebra.mask_times_class)
 
     def rec(i: int, kbar: list[int], used: int, mask: int):
         if i == algebra.count:
-            size = algebra.mask_size(mask)
+            size = mask_size(mask)
             if size != algebra.commutator_size:
                 out.append(
                     {
@@ -317,7 +321,7 @@ def _nonzero_defects(algebra, order) -> list[dict]:
             return
         for k in range(order - used + 1):
             if k:
-                mask = algebra.mask_times_class(mask, i)
+                mask = mask_times_class(mask, i)
             rec(i + 1, kbar + [k], used + k, mask)
 
     rec(1, [], 0, 1)

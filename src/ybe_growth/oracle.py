@@ -1,22 +1,22 @@
-"""Brute-force ground truth: word-orbit enumeration for structure monoids and
-sphere counting for structure groups embedded in (finite group) x Z^k.
+"""Brute-force ground truth: word-orbit enumeration for structure monoids,
+sphere counting for structure groups embedded in (finite group) x Z^k, and
+window orbit closures over the integer reflection solution.
 
-Orbits are computed per word length (braiding moves preserve length), with
-words encoded as base-|X| integers so that numeric order equals lexicographic
-order.  The orbits of length n+1 are built from those of length n: moves
-inside the first n letters are already merged by the length-n orbits, so the
-length-(n+1) orbits are the connected components of a quotient graph on
-(length-n orbit, last letter) pairs, joined only by the move at the last
-position.  Components are numbered by their minimal encoded word, which is
-also each orbit's representative, so every result is schedule-independent.
-
-The ball BFS keeps each sphere as a sorted numpy array of encoded states
-(group element, lattice vector) and deduplicates a new sphere against the
-two before it.
+Every oracle keeps its states as sorted int64 codes (a word is a base-|X|
+integer, so numeric order equals lexicographic order), deduplicated by sort
+and binary search.  Orbits of length n+1 are the connected components of a
+quotient graph on (length-n orbit, last letter) pairs, joined only by the
+move at the last position, and are numbered by their minimal encoded word.
+The ball BFS and the window closure run through one level-synchronous
+traversal, `_bfs_levels`: both move sets are closed under inverses, so a new
+level is deduplicated against the two before it only.  Where a code would
+overflow int64, states are rows instead, deduplicated row-wise.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -32,18 +32,61 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed its state budget."""
 
 
-def encode_word(word: Sequence[int], base: int) -> int:
-    code = 0
-    for letter in word:
-        code = code * base + letter
-    return code
+def _places(radices: Sequence[int]) -> np.ndarray:
+    """Place values of the mixed-radix codes of digit rows below `radices`
+    (most significant first); where those codes would overflow int64, the
+    identity matrix, so that `rows @ places` keeps states as rows."""
+    if math.prod(radices) >= 2**63:
+        return np.eye(len(radices), dtype=np.int64)
+    return np.array([math.prod(radices[i + 1 :]) for i in range(len(radices))], dtype=np.int64)
 
 
-def decode_word(code: int, base: int, length: int) -> tuple[int, ...]:
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        code, out[pos] = divmod(code, base)
-    return tuple(out)
+def _digit_rows(states: np.ndarray, places: np.ndarray, radices) -> np.ndarray:
+    """The digit rows of states: codes decoded, rows as they are."""
+    return states if states.ndim == 2 else states[:, None] // places % radices
+
+
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, ascending."""
+    codes = np.sort(codes)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _new_codes(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """The distinct candidate codes in neither of the two sorted levels, ascending."""
+    codes = _sorted_unique(candidates)
+    for level in (before, frontier):
+        if len(level):
+            found = np.minimum(np.searchsorted(level, codes), len(level) - 1)
+            codes = codes[level[found] != codes]
+    return codes
+
+
+def _new_rows(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """`_new_codes` for rows, sorted so that old rows precede their copies."""
+    rows = np.concatenate([before, frontier, candidates])
+    is_new = np.arange(len(rows)) >= len(before) + len(frontier)
+    order = np.lexsort((is_new, *rows.T[::-1]))
+    rows, is_new = rows[order], is_new[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first & is_new]
+
+
+def _bfs_levels(start: np.ndarray, advance, budget: int, what: str):
+    """Yield the BFS levels from `start` (codes or rows): `advance` maps a
+    level to its neighbours, of which those in the two levels before are
+    dropped.  Raises BudgetExceededError past `budget` states."""
+    new = _new_rows if start.ndim == 2 else _new_codes
+    before, frontier, states = start[:0], start, len(start)
+    while True:
+        yield frontier
+        before, frontier = frontier, new(advance(frontier), before, frontier)
+        states += len(frontier)
+        if states > budget:
+            raise BudgetExceededError(f"{what} exceeded {budget} states")
 
 
 def _component_roots(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,8 +136,8 @@ def _orbit_labels(
     for x in range(base):
         a = labels * base + x
         b = labels[codes + op[last, x] - last] * base + last
-        keys.append(np.unique(np.minimum(a, b) * nodes + np.maximum(a, b)))
-    keys = np.unique(np.concatenate(keys))
+        keys.append(_sorted_unique(np.minimum(a, b) * nodes + np.maximum(a, b)))
+    keys = _sorted_unique(np.concatenate(keys))
     roots = _component_roots(nodes, keys // nodes, keys % nodes)
     # node ids order like minimal codes, since mins ascends: the smallest
     # node of a component holds its minimal code
@@ -113,7 +156,7 @@ class OrbitEnumeration:
     max_length: int  # last length actually enumerated
     counts: list[int] = field(default_factory=list)
     representatives: list[list[tuple[int, ...]]] = field(default_factory=list)
-    _labels: list[Optional[np.ndarray]] = field(default_factory=list)
+    _labels: list[np.ndarray] = field(default_factory=list)
     truncated: bool = False
 
     def orbit_id(self, word: Sequence[int]) -> tuple[int, int]:
@@ -121,18 +164,13 @@ class OrbitEnumeration:
         n = len(word)
         if n > self.max_length:
             raise ValueError(f"length {n} beyond enumerated range {self.max_length}")
-        labels = self._labels[n]
-        if labels is None:
-            return n, encode_word(word, self.solution.size)
-        return n, int(labels[encode_word(word, self.solution.size)])
+        code = np.array(word, dtype=np.int64) @ _places([self.solution.size] * n)
+        return n, int(self._labels[n][code])
 
     def same_orbit(self, w1: Sequence[int], w2: Sequence[int]) -> bool:
         if len(w1) != len(w2):
             return False
         return self.orbit_id(w1) == self.orbit_id(w2)
-
-    def series_coefficients(self) -> list[int]:
-        return list(self.counts)
 
 
 def monoid_orbit_enumerate(
@@ -147,21 +185,18 @@ def monoid_orbit_enumerate(
     result = OrbitEnumeration(sol, max_length, max_length)
     base = sol.size
     spent = 0
-    reached = -1
     shorter = None
     for n in range(max_length + 1):
-        word_count = base**n
-        if spent + word_count > budget:
+        spent += base**n
+        if spent > budget:
             result.truncated = True
             break
-        spent += word_count
-        shorter = _orbit_labels(sol, n, shorter)
-        labels, n_orbits, mins = shorter
+        labels, n_orbits, mins = shorter = _orbit_labels(sol, n, shorter)
         result.counts.append(n_orbits)
-        result._labels.append(labels if n >= 2 else None)
-        result.representatives.append([decode_word(int(c), base, n) for c in mins])
-        reached = n
-    result.max_length = reached
+        result._labels.append(labels)
+        digits = _digit_rows(mins, _places([base] * n), base)
+        result.representatives.append(list(map(tuple, digits.tolist())))
+    result.max_length = len(result.counts) - 1
     return result
 
 
@@ -179,11 +214,7 @@ def orbit_equal(
         return True
     if sol.size ** len(w1) > budget:
         raise BudgetExceededError(f"word space {sol.size}^{len(w1)} exceeds budget {budget}")
-    shorter = None
-    for n in range(len(w1) + 1):
-        shorter = _orbit_labels(sol, n, shorter)
-    labels, base = shorter[0], sol.size
-    return bool(labels[encode_word(w1, base)] == labels[encode_word(w2, base)])
+    return monoid_orbit_enumerate(sol, len(w1), math.inf).same_orbit(w1, w2)
 
 
 @dataclass
@@ -207,16 +238,12 @@ def group_ball_enumerate(
     Each generator is a pair (group element, lattice vector); its inverse is
     (inverse element, negated vector).  A state (g, v) is one int64 code,
     g * (2r+1)^rank + the base-(2r+1) code of v shifted by r, where r bounds
-    every coordinate inside the ball (the radius, for unit vectors); when
-    that code would overflow, states are rows (g, v) deduplicated row-wise.
+    every coordinate inside the ball (the radius, for unit vectors), or the
+    row (g, v + r) where that code would overflow.
     """
-    gens = []
-    seen_gens = set()
-    for g, vec in generators:
-        for elem, v in ((int(g), tuple(int(c) for c in vec)), (group.inv(int(g)), tuple(-int(c) for c in vec))):
-            if (elem, v) not in seen_gens:
-                seen_gens.add((elem, v))
-                gens.append((elem, v))
+    pairs = [(int(g), tuple(int(c) for c in vec)) for g, vec in generators]
+    # each generator and its inverse, in order of first occurrence
+    gens = list(dict.fromkeys(p for g, v in pairs for p in ((g, v), (group.inv(g), tuple(-c for c in v)))))
     rank = len(gens[0][1]) if gens else 0
     if any(len(v) != rank for _, v in gens):
         raise ValueError("lattice vectors have mismatched ranks")
@@ -224,49 +251,20 @@ def group_ball_enumerate(
     steps = np.array([v for _, v in gens], dtype=np.int64).reshape(len(gens), rank)
     # a state within `radius` steps has every coordinate in [-reach, reach]
     reach = max(radius, 0) * int(np.abs(steps).max(initial=0))
-    digit = 2 * reach + 1
-    span = digit**rank
-    if group.size * span < 2**63:
-        # state code: element * span + lattice code (coordinates shifted by reach)
-        place = digit ** np.arange(rank - 1, -1, -1, dtype=np.int64)
-        shifts = steps @ place
+    # state: the row (element, vector + reach), or its mixed-radix code
+    places = _places([group.size] + [2 * reach + 1] * rank)
+    shifts = steps @ places[1:]
 
-        def advance(states):
-            g, lattice = np.divmod(states, span)
-            return (group.products(g[:, None], elems) * span + lattice[:, None] + shifts).ravel()
+    def advance(states):
+        g = states[:, 0] if states.ndim == 2 else states // places[0]
+        jump = group.products(g[:, None], elems) - g[:, None]
+        moved = states[:, None] + np.multiply.outer(jump, places[0]) + shifts
+        return moved.reshape(-1, *states.shape[1:])
 
-        def fresh(candidates, old):
-            codes = np.unique(candidates)
-            return codes[~np.isin(codes, old, assume_unique=True)]
-
-        start = np.array([reach * int(place.sum())], dtype=np.int64)
-    else:
-        # codes would overflow int64: keep states as rows (element, vector)
-
-        def advance(states):
-            g = group.products(states[:, :1], elems).ravel()
-            return np.column_stack([g, (states[:, None, 1:] + steps).reshape(-1, rank)])
-
-        def fresh(candidates, old):
-            rows, inverse = np.unique(
-                np.concatenate([old, candidates]), axis=0, return_inverse=True
-            )
-            inverse = inverse.ravel()
-            return rows[np.setdiff1d(inverse[len(old):], inverse[: len(old)])]
-
-        start = np.zeros((1, rank + 1), dtype=np.int64)
-    # generators are closed under inverses, so a sphere's neighbours lie in
-    # it and in the spheres just before and after it
-    before, frontier = start[:0], start
-    spheres = [1]
-    states = 1
-    for _ in range(radius):
-        before, frontier = frontier, fresh(advance(frontier), np.concatenate([before, frontier]))
-        states += len(frontier)
-        if states > budget:
-            raise BudgetExceededError(f"ball enumeration exceeded {budget} states")
-        spheres.append(len(frontier))
-    return BallEnumeration(list(gens), radius, spheres, states)
+    start = np.array([0] + [reach] * rank, dtype=np.int64) @ places
+    levels = _bfs_levels(start[None], advance, budget, "ball enumeration")
+    spheres = [len(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
+    return BallEnumeration(list(gens), radius, spheres, sum(spheres))
 
 
 def conjugation_ball_generators(
@@ -274,16 +272,10 @@ def conjugation_ball_generators(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Generators (x, unit vector of the conjugacy class of x) for the
     structure group of the conjugation solution on the subset."""
-    dec = group.conjugacy_classes()
-    classes = sorted({dec.class_of[x] for x in subset})
-    coord = {c: i for i, c in enumerate(classes)}
-    rank = len(classes)
-    gens = []
-    for x in subset:
-        vec = [0] * rank
-        vec[coord[dec.class_of[x]]] = 1
-        gens.append((int(x), tuple(vec)))
-    return gens
+    class_of = group.conjugacy_classes().class_of
+    coord = {c: i for i, c in enumerate(sorted({class_of[x] for x in subset}))}
+    units = np.eye(len(coord), dtype=int).tolist()
+    return [(int(x), tuple(units[coord[class_of[x]]])) for x in subset]
 
 
 def conjugation_ball_series(
@@ -294,8 +286,7 @@ def conjugation_ball_series(
 ) -> list[int]:
     """Sphere sizes of the structure group of a conjugation solution."""
     gens = conjugation_ball_generators(group, subset)
-    ball = group_ball_enumerate(gens, group, radius, budget)
-    return ball.sphere_sizes
+    return group_ball_enumerate(gens, group, radius, budget).sphere_sizes
 
 
 def full_conjugation_spheres(
@@ -313,36 +304,43 @@ def full_conjugation_spheres(
 # -- orbits over the infinite reflection solution ------------------------------
 
 
-def _reflection_moves(word: tuple[int, ...], lo: int, hi: int):
-    for pos in range(len(word) - 1):
-        x, y = word[pos], word[pos + 1]
-        fwd = 2 * x - y
-        if lo <= fwd <= hi:
-            yield word[:pos] + (fwd, x) + word[pos + 2 :]
-        back = 2 * y - x
-        if lo <= back <= hi:
-            yield word[:pos] + (y, back) + word[pos + 2 :]
-
-
 def reflection_orbit_closure(
     word: Sequence[int], margin: int = 8, max_states: int = 500000
 ) -> set[tuple[int, ...]]:
     """Braiding orbit of a word over the integers, restricted to the letter
-    window [min - margin, max + margin]."""
+    window [min - margin, max + margin]; raises BudgetExceededError when it
+    has more than max_states words.  A word is the base-(window width) code of
+    its letters' offsets from the window's lower end, or the row of those
+    offsets where the code would overflow int64."""
     start = tuple(int(a) for a in word)
-    if not start:
+    n = len(start)
+    if n < 2:
         return {start}
-    lo, hi = min(start) - margin, max(start) + margin
-    closure = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for moved in _reflection_moves(w, lo, hi):
-            if moved not in closure:
-                if len(closure) >= max_states:
-                    raise BudgetExceededError("reflection orbit closure exceeded state cap")
-                closure.add(moved)
-                stack.append(moved)
+    lo = min(start) - margin
+    width = max(start) + margin - lo + 1
+    places = _places([width] * n)
+    units = places[:-1] + places[1:]  # adds one to the letters at pos, pos + 1
+
+    def advance(states):
+        rows = _digit_rows(states, places, width)
+        moved = []
+        for pos in range(n - 1):
+            x, y = rows[:, pos], rows[:, pos + 1]
+            # (x, y) -> (2x - y, x) and its inverse (x, y) -> (y, 2y - x)
+            # add +-(x - y) to both letters; one new letter may leave the window
+            for shift, end in ((x - y, 2 * x - y), (y - x, 2 * y - x)):
+                ok = (end >= 0) & (end < width)
+                moved.append(states[ok] + np.multiply.outer(shift[ok], units[pos]))
+        return np.concatenate(moved)
+
+    # one int object per letter, shared by every decoded word
+    letters = np.arange(lo, lo + width).astype(object)
+    closure = set()
+    first = (np.array(start, dtype=np.int64) - lo) @ places
+    # a word is always in its own closure, whatever max_states
+    levels = _bfs_levels(first[None], advance, max(max_states, 1), "reflection orbit closure")
+    for level in itertools.takewhile(len, levels):
+        closure.update(zip(*letters[_digit_rows(level, places, width).T].tolist()))
     return closure
 
 

@@ -389,10 +389,6 @@ def expand_rational(gf: RationalGF, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def series_derivative(s: TruncatedSeries) -> TruncatedSeries:
-    return s.derivative()
-
-
 def geometric_series(order: int, step: int = 1) -> TruncatedSeries:
     """1/(1 - t^step) truncated at the given order."""
     return expand_rational(RationalGF(ONE, ONE - T**step), order)
@@ -533,7 +529,3 @@ def bivariate_binomial(order_t: int, order_x: int) -> BivariateSeries:
         for i in range(min(col.degree, order_t) + 1):
             rows[i][n] = col[i]
     return BivariateSeries(rows)
-
-
-def bivariate_exp(f: BivariateSeries) -> BivariateSeries:
-    return f.exp()

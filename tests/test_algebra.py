@@ -1,15 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybe_growth.algebra import (
+    MAX_SOLUTION_SIZE,
     FiniteGroupTable,
     Permutation,
     QuandleSolution,
     SetPartition,
     class_product_table,
-    commutator_subgroup,
     conjugation_solution,
     dihedral_reflections,
     enumerate_set_partitions,
@@ -67,14 +69,14 @@ class TestGroups:
             make_dihedral_group(1001)
 
     def test_commutators(self):
-        assert len(commutator_subgroup(make_symmetric_group(3))) == 3
-        assert len(commutator_subgroup(make_symmetric_group(4))) == 12
+        assert len(make_symmetric_group(3).commutator_subgroup()) == 3
+        assert len(make_symmetric_group(4).commutator_subgroup()) == 12
         for d in (2, 3, 4, 5):
-            assert len(commutator_subgroup(make_symmetric_group(d))) == max(
+            assert len(make_symmetric_group(d).commutator_subgroup()) == max(
                 1, __import__("math").factorial(d) // 2
             )
         # abelian: D_1 = Z_2
-        assert commutator_subgroup(make_dihedral_group(1)) == (0,)
+        assert make_dihedral_group(1).commutator_subgroup() == (0,)
 
     def test_cycle_type_classes_match_conjugation_orbits(self):
         for d in (3, 4, 5, 6):
@@ -249,6 +251,26 @@ class TestSolutions:
             QuandleSolution([[0, 0], [1, 1]])  # not bijective rows
         with pytest.raises(ValueError, match="idempotence"):
             QuandleSolution([[1, 0], [1, 0]])
+
+    def test_swapped_row_entries_rejected_beyond_64(self):
+        # the row stays a bijection and the diagonal is untouched, so only
+        # self-distributivity fails, on about 10n of the n^3 triples
+        n = 101
+        op = [list(row) for row in reflection_solution(n).op]
+        op[1][2], op[1][3] = op[1][3], op[1][2]
+        first = next(
+            (x, y, z)
+            for x, y, z in itertools.product(range(n), repeat=3)
+            if op[x][op[y][z]] != op[op[x][y]][op[x][z]]
+        )
+        with pytest.raises(ValueError, match=r"self-distributivity fails at \(%d,%d,%d\)" % first):
+            QuandleSolution(op)
+
+    def test_size_cap(self):
+        assert reflection_solution(MAX_SOLUTION_SIZE).size == MAX_SOLUTION_SIZE
+        n = MAX_SOLUTION_SIZE + 1
+        with pytest.raises(ValueError, match="exceeds the validation limit"):
+            QuandleSolution([list(range(n))] * n)
 
     def test_quandle_axioms_exhaustive(self):
         for sol in (reflection_solution(7), transposition_solution(4)):

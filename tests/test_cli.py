@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ybe_growth
+from ybe_growth.algebra import MAX_SOLUTION_SIZE
 from ybe_growth.cli import main
 
 
@@ -235,6 +236,14 @@ class TestMalformedCustomJson:
         path = tmp_path / "sol.json"
         path.write_text(json.dumps({"op": [[0, None], [1, 1]]}))
         _assert_input_error(*_custom_json(path, capsys))
+
+    def test_table_over_size_cap(self, tmp_path, capsys):
+        n = MAX_SOLUTION_SIZE + 1
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps({"op": [list(range(n))] * n}))
+        code, out, err = _custom_json(path, capsys)
+        _assert_input_error(code, out, err)
+        assert "validation limit" in err
 
     @staticmethod
     def _malformed():

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +333,74 @@ class TestBallsAgainstReference:
         assert group_ball_enumerate(gens, group, radius, budget=total).states == total
         with pytest.raises(BudgetExceededError):
             group_ball_enumerate(gens, group, radius, budget=total - 1)
+
+
+def _reference_closure(word, margin):
+    """The window orbit by depth-first search over tuples, along the moves
+    (x, y) -> (2x - y, x) and (x, y) -> (y, 2y - x) that keep every letter in
+    [min - margin, max + margin]."""
+    start = tuple(word)
+    if not start:
+        return {start}
+    lo, hi = min(start) - margin, max(start) + margin
+    closure = {start}
+    stack = [start]
+    while stack:
+        w = stack.pop()
+        for pos in range(len(w) - 1):
+            x, y = w[pos], w[pos + 1]
+            for pair in ((2 * x - y, x), (y, 2 * y - x)):
+                if lo <= min(pair) and max(pair) <= hi:
+                    moved = w[:pos] + pair + w[pos + 2 :]
+                    if moved not in closure:
+                        closure.add(moved)
+                        stack.append(moved)
+    return closure
+
+
+WINDOW_WORDS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference" / "expected.json").read_text()
+)["window"]
+# words of 16 and 20 letters whose codes overflow int64 at these margins
+LONG_WORDS = [((0, 15) * 7 + (7, 8), 0), ((3,) * 20, 12)]
+
+
+class TestWindowClosureAgainstReference:
+    @pytest.mark.parametrize("length", ["3", "4", "5"])
+    def test_recorded_window_words(self, length):
+        for text, size in WINDOW_WORDS[length].items():
+            word = tuple(json.loads(text))
+            closure = reflection_orbit_closure(word, margin=12)
+            assert len(closure) == size
+            assert closure == _reference_closure(word, 12)
+
+    def test_random_words(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            margin = rng.randint(0, 6 if n < 5 else 2)
+            word = tuple(rng.randint(-4, 4) for _ in range(n))
+            assert reflection_orbit_closure(word, margin) == _reference_closure(word, margin)
+
+    @pytest.mark.parametrize("word, margin", [((0, 2, 1), 3), ((1, -1, 1), 2), ((4, 4), 1)] + LONG_WORDS)
+    def test_budget_edge(self, word, margin):
+        size = len(_reference_closure(word, margin))
+        assert len(reflection_orbit_closure(word, margin, max_states=size)) == size
+        if size > 1:
+            with pytest.raises(BudgetExceededError):
+                reflection_orbit_closure(word, margin, max_states=size - 1)
+        else:
+            # a word is always in its own closure
+            assert reflection_orbit_closure(word, margin, max_states=0) == {word}
+
+    @pytest.mark.parametrize("word", [(), (0,), (-7,), (12,)])
+    def test_words_without_moves(self, word):
+        for margin in (0, 5):
+            assert reflection_orbit_closure(word, margin) == {word}
+            assert reflection_orbit_closure(word, margin, max_states=0) == {word}
+
+    @pytest.mark.parametrize("word, margin", LONG_WORDS)
+    def test_long_words_take_the_row_path(self, word, margin):
+        width = max(word) - min(word) + 2 * margin + 1
+        assert width ** len(word) >= 2**63
+        assert reflection_orbit_closure(word, margin) == _reference_closure(word, margin)
