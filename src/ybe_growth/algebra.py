@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -124,9 +123,6 @@ class ConjugacyDecomposition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def class_containing(self, element: int) -> int:
-        return self.class_of[element]
-
 
 class FiniteGroupTable:
     """A finite group given by its multiplication structure.
@@ -134,6 +130,12 @@ class FiniteGroupTable:
     Either a dense numpy table is stored, or the permutation images of the
     elements (one row per element), multiplied by gathering images and ranking
     the result; the latter keeps S_7 and S_8 free of an n x n table.
+
+    Construction checks the group axioms on every element, for every n: the
+    identity and the inverses in vectorised passes over all n elements, and
+    associativity of a table by Light's test on a generating set read off the
+    table (two n x n gathers per generator).  Image rows must be the d!
+    permutations of {0..d-1}, that is all of S_d, which is a group.
 
     class_keys, when given, is a complete conjugacy invariant per element
     (such as the cycle type in S_d): elements are conjugate exactly when their
@@ -150,7 +152,6 @@ class FiniteGroupTable:
         inverses: Optional[Sequence[int]] = None,
         labels: Optional[Sequence[str]] = None,
         name: str = "G",
-        validate: bool = True,
     ):
         if size <= 0:
             raise ValueError("group size must be positive")
@@ -165,14 +166,15 @@ class FiniteGroupTable:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(size)]
         if len(self.labels) != size:
             raise ValueError("label count does not match group size")
-        if inverses is not None:
-            self._inv = list(int(x) for x in inverses)
-        else:
-            self._inv = self._compute_inverses()
+        if inverses is None:  # _validate checks them on both sides
+            if self._table is not None:  # where each row holds the identity
+                inverses = np.argmax(self._table == 0, axis=1)
+            else:  # the inverse permutations
+                inverses = self._rank(np.argsort(self._images, axis=1))
+        self._inv = [int(x) for x in inverses]
         self._classes: Optional[ConjugacyDecomposition] = None
         self._algebra: Optional[ClassAlgebra] = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- core operations ---------------------------------------------------
 
@@ -210,51 +212,52 @@ class FiniteGroupTable:
 
     # -- construction helpers ----------------------------------------------
 
-    def _compute_inverses(self) -> list[int]:
-        inv = [-1] * self.size
-        for a in range(self.size):
-            if inv[a] >= 0:
-                continue
-            row = self.row(a)
-            hits = np.flatnonzero(row == 0)
-            if len(hits) != 1:
-                raise ValueError(f"element {a} has {len(hits)} right inverses")
-            b = int(hits[0])
-            inv[a] = b
-            inv[b] = a
-        return inv
-
     def _validate(self) -> None:
-        if self.mul(0, 0) != 0:
-            raise ValueError("element 0 is not idempotent, cannot be the identity")
+        """Check the group axioms on every element: element 0 is a two-sided
+        identity, the inverses are inverses, and a table is associative."""
         n = self.size
-        probe = range(n) if n <= 64 else random.Random(0).sample(range(n), 48)
-        for a in probe:
-            if self.mul(a, 0) != a or self.mul(0, a) != a:
-                raise ValueError("element 0 is not a two-sided identity")
-            b = self._inv[a]
-            if self.mul(a, b) != 0 or self.mul(b, a) != 0:
-                raise ValueError(f"inverse table wrong at element {a}")
-        if self._table is not None:
-            ident = np.arange(n)
-            for a in range(n):
-                row = self._table[a]
-                if row.min() < 0 or row.max() >= n:
-                    raise ValueError("table entry out of range")
-                if not np.array_equal(np.sort(row), ident):
-                    raise ValueError(f"row {a} is not a permutation of the group")
-            col_sorted = np.sort(self._table, axis=0)
-            if not np.array_equal(col_sorted, np.tile(ident[:, None], (1, n))):
-                raise ValueError("some column is not a permutation of the group")
-        # Associativity: full check only for tiny groups, sampled otherwise.
-        rng = random.Random(1)
-        if n <= 24:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(2000))
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ValueError(f"associativity fails at ({a},{b},{c})")
+        every = np.arange(n)
+        table, images = self._table, self._images
+        if table is None:
+            # d! distinct permutations of {0..d-1} are all of S_d: closed,
+            # associative, and every product has a rank
+            d = images.shape[1]
+            perms = np.array_equal(np.sort(images, axis=1), np.broadcast_to(np.arange(d), (n, d)))
+            if n != math.factorial(d) or not perms or not np.array_equal(self._rank(images), every):
+                raise ValueError(f"the {n} image rows are not the elements of S_{d}")
+        elif table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+            raise ValueError("table entry out of range")
+        inv = np.asarray(self._inv, dtype=np.int64)
+        if inv.shape != (n,) or inv.min() < 0 or inv.max() >= n:
+            raise ValueError("inverse table out of range")
+        if (np.stack([self.products(0, every), self.products(every, 0)]) != every).any():
+            raise ValueError("element 0 is not a two-sided identity")
+        wrong = np.flatnonzero((self.products(every, inv) != 0) | (self.products(inv, every) != 0))
+        if wrong.size:
+            raise ValueError(f"inverse table wrong at element {wrong[0]}")
+        if table is None:
+            return
+        # Light's test: the a with (x a) y = x (a y) for all x, y are closed
+        # under products, so a generating set suffices.  Each generator is the
+        # smallest element not yet reached; the reached set is then closed by
+        # squaring it.  The identity passes, so it starts reached.  The
+        # gathers run on the narrowest dtype that holds the entries.
+        table = table.astype(np.min_scalar_type(n - 1))
+        reached = every == 0
+        while not reached.all():
+            a = int(np.argmin(reached))
+            left, right = table[table[:, a]], table[:, table[a]]
+            if not np.array_equal(left, right):
+                x, y = np.argwhere(left != right)[0]
+                raise ValueError(f"associativity fails at ({x},{a},{y})")
+            reached[a] = True
+            members = np.flatnonzero(reached)
+            while members.size < n:
+                reached[table[np.ix_(members, members)]] = True
+                grown = np.flatnonzero(reached)
+                if grown.size == members.size:
+                    break
+                members = grown
 
     # -- conjugacy and commutators ------------------------------------------
 
@@ -481,9 +484,9 @@ def make_symmetric_group(d: int) -> FiniteGroupTable:
     perms = [Permutation(p) for p in itertools.permutations(range(d))]
     n = len(perms)
     images = np.array([p.images for p in perms], dtype=np.int64)
-    rank = _image_ranker(images)
     table = None
     if n <= DENSE_LIMIT:
+        rank = _image_ranker(images)
         # composition (p_a * p_b)(i) = p_a[p_b[i]]: image rows images[a][images[b]]
         table = np.stack([rank(images[a][images]) for a in range(n)])
     group = FiniteGroupTable(
@@ -491,10 +494,8 @@ def make_symmetric_group(d: int) -> FiniteGroupTable:
         table=table,
         images=images if table is None else None,
         class_keys=[p.cycle_type() for p in perms],
-        inverses=rank(np.argsort(images, axis=1)).tolist(),
         labels=[p.label() for p in perms],
         name=f"S{d}",
-        validate=table is not None,
     )
     group.permutations = perms
     return group
@@ -581,9 +582,6 @@ class QuandleSolution:
             if bad.any():
                 y, z = np.argwhere(bad)[0]
                 raise ValueError(f"self-distributivity fails at ({x},{y},{z})")
-
-    def yang_baxter_map(self, x: int, y: int) -> tuple[int, int]:
-        return self.op[x][y], x
 
     def to_json(self) -> dict:
         return {"size": self.size, "op": [list(r) for r in self.op], "labels": list(map(str, self.labels))}
@@ -703,10 +701,6 @@ class SetPartition:
             raise ValueError("blocks do not partition the ground set")
         return cls(norm, ground_size)
 
-    @classmethod
-    def singletons(cls, ground_size: int) -> "SetPartition":
-        return cls(tuple((i,) for i in range(ground_size)), ground_size)
-
     @property
     def block_count(self) -> int:
         return len(self.blocks)
@@ -714,12 +708,6 @@ class SetPartition:
     def block_sizes(self) -> tuple[int, ...]:
         """Sizes as a descending integer partition of the ground size."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
-
-    def block_of(self, x: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i
-        raise KeyError(x)
 
     def is_full(self) -> bool:
         return self.block_count == 1

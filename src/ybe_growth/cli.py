@@ -363,6 +363,8 @@ def _parse_word(args) -> ReflectionWord:
         return ReflectionWord(tuple(letters), None)
     if args.d is None:
         raise UsageError("need --d (or --infinite) for reflection words")
+    if args.d < 1:
+        raise UsageError("modulus must be at least 1")
     return ReflectionWord(tuple(a % args.d for a in letters), args.d)
 
 
@@ -415,7 +417,7 @@ def _invariants_text(inv) -> str:
 def cmd_verify(args) -> int:
     ids = args.criteria.split(",") if args.criteria else None
     t0 = time.monotonic()
-    results = run_criteria(ids, seed=args.seed)
+    results = run_criteria(ids)
     elapsed = time.monotonic() - t0
     report = _base_report(args, "verify")
     report["criteria"] = [r.to_json() for r in results]
@@ -443,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--budget-states", type=int, default=None, help="state budget override")
     common.add_argument("--threads", type=int, default=1, help="maximum worker count")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
+    common.add_argument(
+        "--seed", type=int, default=0, help="echoed into the report's config; no check uses it"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", parents=[common], help="structure-group growth series")

@@ -16,6 +16,10 @@ from typing import Optional, Sequence, Union
 from .algebra import ClassAlgebra, FiniteGroupTable
 from .series import (
     ONE,
+    ONE_MINUS_T,
+    ONE_MINUS_T2,
+    ONE_PLUS_T,
+    ONE_PLUS_T2,
     Polynomial,
     RationalGF,
     T,
@@ -23,11 +27,6 @@ from .series import (
     expand_rational,
 )
 from .oracle import BudgetExceededError
-
-ONE_MINUS_T = ONE - T
-ONE_PLUS_T = ONE + T
-ONE_MINUS_T2 = ONE - T**2
-ONE_PLUS_T2 = ONE + T**2
 
 DEFAULT_DEFECT_BUDGET = 10**6
 

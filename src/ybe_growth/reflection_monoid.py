@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .series import ONE, Polynomial, RationalGF, T
-
-ONE_MINUS_T = ONE - T
+from .series import ONE, ONE_MINUS_T, Polynomial, RationalGF, T
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,10 @@ def _coerce_poly(x) -> Polynomial:
 ZERO = Polynomial()
 ONE = Polynomial([1])
 T = Polynomial([0, 1])
+ONE_MINUS_T = ONE - T
+ONE_PLUS_T = ONE + T
+ONE_MINUS_T2 = ONE - T**2
+ONE_PLUS_T2 = ONE + T**2
 
 
 def format_polynomial(p: Polynomial, var: str = "t") -> str:
@@ -239,13 +243,6 @@ class RationalGF:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def is_polynomial(self) -> bool:
-        _, rem = self.num.divmod(self.den)
-        return rem.is_zero()
-
-    def expand(self, order: int) -> "TruncatedSeries":
-        return expand_rational(self, order)
 
     def __repr__(self):
         if self.den == ONE:

@@ -17,16 +17,14 @@ from .algebra import (
 )
 from .series import (
     ONE,
+    ONE_MINUS_T2,
     BivariateSeries,
     Polynomial,
     RationalGF,
-    T,
     TruncatedSeries,
     bivariate_binomial,
     geometric_series,
 )
-
-ONE_MINUS_T2 = ONE - T**2
 
 
 class TranspositionWord:

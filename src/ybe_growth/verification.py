@@ -2,14 +2,16 @@
 
 Every criterion compares closed-form output against an independent route:
 breadth-first Cayley balls for groups, braiding-orbit counts for monoids,
-element-level enumeration for defects, or randomized constructive checks for
-the arithmetic lemmas.  Each criterion returns a structured, deterministic
-result so the CLI can emit stable JSON and the test suite can assert.
+element-level enumeration for defects, or constructive checks over fixed
+boxes for the arithmetic lemmas and the braiding identities.  Nothing is
+sampled: each check enumerates its whole box, and the box bounds and case
+counts are reported in the criterion's details.  Each criterion returns a
+structured, deterministic result so the CLI can emit stable JSON and the
+test suite can assert.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd
@@ -46,7 +48,7 @@ from .reflection_monoid import (
     push_through,
     triple_gcd_witness,
 )
-from .series import ONE, Polynomial, RationalGF, T, expand_rational
+from .series import ONE, ONE_MINUS_T, ONE_PLUS_T, Polynomial, RationalGF, T, expand_rational
 from .transposition_monoid import (
     TranspositionWord,
     egf_column,
@@ -57,9 +59,15 @@ from .transposition_monoid import (
     word_partition,
 )
 
-ONE_MINUS_T = ONE - T
-ONE_PLUS_T = ONE + T
 GEOM = RationalGF(ONE_PLUS_T, ONE_MINUS_T)  # (1+t)/(1-t)
+
+# The boxes criteria 10 and 12 enumerate in full.
+MOVE_LETTERS = range(-3, 4)  # letters of the moved words, and the moved letter
+MOVE_LENGTHS = range(1, 5)
+TRIPLE_BOX = range(-20, 21)  # a, b and c of the gcd witness
+LIFT_VALUES = range(-6, 7)
+LIFT_ARITIES = (2, 3)
+LIFT_MODULI = range(1, 25)
 
 
 @dataclass
@@ -80,7 +88,7 @@ class CriterionResult:
         }
 
 
-def check_solomon(seed: int = 0) -> CriterionResult:
+def check_solomon() -> CriterionResult:
     rows = []
     ok = True
     for d in range(2, 7):
@@ -96,7 +104,7 @@ def check_solomon(seed: int = 0) -> CriterionResult:
     return CriterionResult("1", "Solomon product vs Cayley BFS on S_d", ok, details={"rows": rows})
 
 
-def check_transposition_group(seed: int = 0) -> CriterionResult:
+def check_transposition_group() -> CriterionResult:
     known_forms = {
         2: GEOM,
         3: RationalGF(Polynomial([1, 1]) * Polynomial([1, 4, -2]), ONE_MINUS_T),
@@ -118,7 +126,7 @@ def check_transposition_group(seed: int = 0) -> CriterionResult:
     return CriterionResult("2", "As(T_d) closed forms vs ball oracle", ok, details={"rows": rows})
 
 
-def check_recursion(seed: int = 0) -> CriterionResult:
+def check_recursion() -> CriterionResult:
     rows = []
     ok = True
     for d in range(2, 8):
@@ -132,7 +140,7 @@ def check_recursion(seed: int = 0) -> CriterionResult:
     return CriterionResult("3", "Recursion for As(T_d) growth series", ok, details={"rows": rows})
 
 
-def check_reflection_group(seed: int = 0) -> CriterionResult:
+def check_reflection_group() -> CriterionResult:
     rows = []
     ok = True
     for d in range(3, 8):
@@ -145,7 +153,7 @@ def check_reflection_group(seed: int = 0) -> CriterionResult:
     return CriterionResult("4", "As(R_d) closed forms vs ball oracle", ok, details={"rows": rows})
 
 
-def check_defect_engine(seed: int = 0) -> CriterionResult:
+def check_defect_engine() -> CriterionResult:
     rows = []
     s3 = defect_series(make_symmetric_group(3), 8)
     rows.append(
@@ -196,7 +204,7 @@ def check_defect_engine(seed: int = 0) -> CriterionResult:
     return CriterionResult("5", "Defect series engine", ok, details={"rows": rows})
 
 
-def check_full_conjugation(seed: int = 0) -> CriterionResult:
+def check_full_conjugation() -> CriterionResult:
     rows = []
     s3 = as_full_conjugation_gf(make_symmetric_group(3), 5)
     rows.append(
@@ -241,7 +249,7 @@ def check_full_conjugation(seed: int = 0) -> CriterionResult:
     return CriterionResult("6", "Full conjugation growth (S_3, S_4, D_5, D_7)", ok, details={"rows": rows})
 
 
-def check_s5_numerator(seed: int = 0) -> CriterionResult:
+def check_s5_numerator() -> CriterionResult:
     """Stretch: the published numerator of the As(S_5) series over (1-t)^7."""
     published = Polynomial(
         [1, 233, 3086, -1200, 2050, 7150, -4760, -980, 3505, -1455, -46, 92, 4]
@@ -260,7 +268,7 @@ def check_s5_numerator(seed: int = 0) -> CriterionResult:
     )
 
 
-def check_transposition_monoid(seed: int = 0) -> CriterionResult:
+def check_transposition_monoid() -> CriterionResult:
     rows = []
     ok = True
     for d, max_len in ((2, 7), (3, 7), (4, 6)):
@@ -291,7 +299,7 @@ def check_transposition_monoid(seed: int = 0) -> CriterionResult:
     )
 
 
-def check_egf(seed: int = 0) -> CriterionResult:
+def check_egf() -> CriterionResult:
     egf = egf_transposition_monoids(8, 4)
     rows = []
     ok = True
@@ -304,7 +312,7 @@ def check_egf(seed: int = 0) -> CriterionResult:
     return CriterionResult("8", "EGF columns vs per-d monoid growth", ok, details={"rows": rows})
 
 
-def check_reflection_monoid(seed: int = 0) -> CriterionResult:
+def check_reflection_monoid() -> CriterionResult:
     rows = []
     ok = True
     for d in range(2, 9):
@@ -339,7 +347,23 @@ def _apply_push_moves(word: tuple[int, ...], a: int) -> tuple[int, ...]:
     return tuple(current)
 
 
-def check_invariant_completeness(seed: int = 0, cases: int = 10000) -> CriterionResult:
+def _push_square(a: int, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Move a leading square e_a e_a to the back, two braiding moves per letter."""
+    current = [a, a] + list(word)
+    for i in range(2, len(current)):
+        x = current[i]
+        s = current[i - 1]
+        current[i - 1], current[i] = 2 * s - x, s
+        s2 = current[i - 2]
+        current[i - 2], current[i - 1] = 2 * s2 - current[i - 1], s2
+    return tuple(current)
+
+
+def _bounds(box: range) -> list[int]:
+    return [box[0], box[-1]]
+
+
+def check_invariant_completeness() -> CriterionResult:
     rows = []
     ok = True
     for d in (3, 4, 5, 6):
@@ -362,28 +386,15 @@ def check_invariant_completeness(seed: int = 0, cases: int = 10000) -> Criterion
                         "normal_forms_in_orbit": nf_good,
                     }
                 )
-    rng = random.Random(seed)
     push_ok = centrality_ok = True
-    for _ in range(cases):
-        n = rng.randint(1, 6)
-        letters = tuple(rng.randint(-8, 8) for _ in range(n))
-        a = rng.randint(-8, 8)
-        moved = _apply_push_moves(letters, a)
-        expected = (push_through(ReflectionWord(letters), a),) + letters
-        push_ok &= moved == expected
-    for _ in range(cases):
-        n = rng.randint(1, 6)
-        letters = tuple(rng.randint(-8, 8) for _ in range(n))
-        a = rng.randint(-8, 8)
-        # push the square through one letter at a time: two moves per letter
-        current = [a, a] + list(letters)
-        for i in range(2, len(current)):
-            x = current[i]
-            s = current[i - 1]
-            current[i - 1], current[i] = 2 * s - x, s
-            s2 = current[i - 2]
-            current[i - 2], current[i - 1] = 2 * s2 - current[i - 1], s2
-        centrality_ok &= tuple(current) == letters + (a, a)
+    move_cases = 0
+    for n in MOVE_LENGTHS:
+        for letters in iproduct(MOVE_LETTERS, repeat=n):
+            word = ReflectionWord(letters)
+            for a in MOVE_LETTERS:
+                move_cases += 1
+                push_ok &= _apply_push_moves(letters, a) == (push_through(word, a),) + letters
+                centrality_ok &= _push_square(a, letters) == letters + (a, a)
     ok &= push_ok and centrality_ok
     return CriterionResult(
         "10",
@@ -391,15 +402,15 @@ def check_invariant_completeness(seed: int = 0, cases: int = 10000) -> Criterion
         ok,
         details={
             "rows": rows,
-            "push_through_cases": cases,
+            "move_box": {"letters": _bounds(MOVE_LETTERS), "lengths": _bounds(MOVE_LENGTHS)},
+            "move_cases": move_cases,
             "push_through_ok": push_ok,
-            "squares_centrality_cases": cases,
             "squares_centrality_ok": centrality_ok,
         },
     )
 
 
-def check_fts_embedding(seed: int = 0) -> CriterionResult:
+def check_fts_embedding() -> CriterionResult:
     rows = []
     ok = True
     for d in (3, 4):
@@ -440,49 +451,49 @@ def check_fts_embedding(seed: int = 0) -> CriterionResult:
     )
 
 
-def check_constructive_lemmas(seed: int = 0, cases: int = 100000) -> CriterionResult:
-    rng = random.Random(seed)
+def check_constructive_lemmas() -> CriterionResult:
     gcd_ok = True
-    for _ in range(cases):
-        a = rng.randint(-50, 50)
-        b = rng.randint(-50, 50)
-        while b == a:
-            b = rng.randint(-50, 50)
-        c = rng.randint(-50, 50)
-        parity = None
-        if (a - b) % 2 == 1 and rng.random() < 0.5:
-            parity = rng.randint(0, 1)
-        n = triple_gcd_witness(a, b, c, parity)
-        if n < 1 or gcd(a + n * c, b + n * c) != gcd(a, b, c):
-            gcd_ok = False
-            break
-        if parity is not None and n % 2 != parity:
-            gcd_ok = False
-            break
+    triple_cases = 0
+    for a, b, c in iproduct(TRIPLE_BOX, repeat=3):
+        if a == b:
+            continue
+        # a parity can be asked for only when a and b differ in parity
+        for parity in (None, 0, 1) if (a - b) % 2 else (None,):
+            triple_cases += 1
+            n = triple_gcd_witness(a, b, c, parity)
+            witnessed = n >= 1 and gcd(a + n * c, b + n * c) == gcd(a, b, c)
+            gcd_ok &= witnessed and parity in (None, n % 2)
     lift_ok = True
-    for _ in range(cases):
-        k = rng.randint(2, 5)
-        values = [rng.randint(-60, 60) for _ in range(k)]
-        d = rng.randint(1, 60)
-        force_odd = d % 2 == 1 and rng.random() < 0.5
-        m = lift_to_coprime(values, d, force_odd)
-        final = [v + mi * d for v, mi in zip(values, m)]
-        if gcd(*final) != gcd(d, *values):
-            lift_ok = False
-            break
-        if force_odd and any(v % 2 == 0 for v in final):
-            lift_ok = False
-            break
-    ok = gcd_ok and lift_ok
+    lift_cases = 0
+    for d, k in iproduct(LIFT_MODULI, LIFT_ARITIES):
+        for values in iproduct(LIFT_VALUES, repeat=k):
+            # odd lifts can be forced only for odd d
+            for force_odd in (False, True) if d % 2 else (False,):
+                lift_cases += 1
+                m = lift_to_coprime(values, d, force_odd)
+                final = [v + mi * d for v, mi in zip(values, m)]
+                lift_ok &= gcd(*final) == gcd(d, *values)
+                lift_ok &= not (force_odd and any(v % 2 == 0 for v in final))
     return CriterionResult(
         "12",
         "Constructive gcd witness and coprime lifting lemmas",
-        ok,
-        details={"cases_each": cases, "triple_gcd_ok": gcd_ok, "lift_ok": lift_ok},
+        gcd_ok and lift_ok,
+        details={
+            "triple_box": {"abc": _bounds(TRIPLE_BOX), "parities": [None, 0, 1]},
+            "triple_cases": triple_cases,
+            "triple_gcd_ok": gcd_ok,
+            "lift_box": {
+                "values": _bounds(LIFT_VALUES),
+                "arities": list(LIFT_ARITIES),
+                "moduli": _bounds(LIFT_MODULI),
+            },
+            "lift_cases": lift_cases,
+            "lift_ok": lift_ok,
+        },
     )
 
 
-CRITERIA: list[tuple[str, Callable[..., CriterionResult]]] = [
+CRITERIA: list[tuple[str, Callable[[], CriterionResult]]] = [
     ("1", check_solomon),
     ("2", check_transposition_group),
     ("3", check_recursion),
@@ -499,10 +510,10 @@ CRITERIA: list[tuple[str, Callable[..., CriterionResult]]] = [
 ]
 
 
-def run_criteria(ids: Optional[list[str]] = None, seed: int = 0) -> list[CriterionResult]:
+def run_criteria(ids: Optional[list[str]] = None) -> list[CriterionResult]:
     selected = [c for c in CRITERIA if ids is None or c[0] in ids]
     if ids is not None:
         unknown = set(ids) - {c[0] for c in CRITERIA}
         if unknown:
             raise ValueError(f"unknown criteria: {sorted(unknown)}")
-    return [fn(seed=seed) for _, fn in selected]
+    return [fn() for _, fn in selected]

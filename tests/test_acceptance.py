@@ -27,7 +27,7 @@ TIME_LIMITS = {
 @pytest.mark.parametrize("cid,check", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_criterion(cid, check):
     start = time.monotonic()
-    result = check(seed=0)
+    result = check()
     elapsed = time.monotonic() - start
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {cid}: {result.name} ({elapsed:.1f}s)")
@@ -40,5 +40,5 @@ def test_all_criteria_have_time_limits():
 
 
 def test_verify_all_runner():
-    results = run_criteria(seed=0)
+    results = run_criteria()
     assert all(r.passed for r in results if r.gating)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,35 @@ from ybe_growth.algebra import (
     symmetric_transpositions,
     transposition_solution,
 )
+
+
+def _cyclic_group(n):
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return FiniteGroupTable(n, table=table, name=f"Z{n}")
+
+
+def _swapped_cyclic_table(n):
+    """Z_n (n even, at least 8) with the intercalate of 3 and 3 + n/2 in rows
+    1, 1 + n/2 and columns 2, 2 + n/2 swapped: a Latin square with identity 0
+    and two-sided inverses that is not associative."""
+    h = n // 2
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
+    for x, y in ((1, 2), (1 + h, 2 + h), (1, 2 + h), (1 + h, 2)):
+        table[x, y] = 3 + h if table[x, y] == 3 else 3
+    return table
+
+
+def _is_group_by_brute_force(table):
+    """Reference: identity 0, two-sided inverses and all n^3 triples."""
+    n = len(table)
+    if any(table[0][x] != x or table[x][0] != x for x in range(n)):
+        return False
+    if any(not any(table[x][y] == 0 == table[y][x] for y in range(n)) for x in range(n)):
+        return False
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x, y, z in itertools.product(range(n), repeat=3)
+    )
 
 
 class TestPermutation:
@@ -113,6 +143,97 @@ class TestGroups:
         with pytest.raises(ValueError):
             FiniteGroupTable(2, table=[[0, 1], [1, 1]])
 
+    def test_families_construct(self):
+        for d in range(1, 9):
+            assert make_symmetric_group(d).size == math.factorial(d)
+        for d in range(1, 31):
+            assert make_dihedral_group(d).size == 2 * d
+        for n in (1, 2, 5, 6, 100):
+            assert _cyclic_group(n).size == n
+
+    def test_swapped_intercalate_rejected_beyond_24(self):
+        table = _swapped_cyclic_table(100)
+        ident = np.arange(100)
+        assert (np.sort(table, axis=0) == ident[:, None]).all()
+        assert (np.sort(table, axis=1) == ident).all()
+        with pytest.raises(ValueError, match=r"associativity fails at \(1,1,1\)"):
+            FiniteGroupTable(100, table=table)
+
+    def test_associativity_failure_past_the_first_generator(self):
+        # Z_2 x L with element (i, l) at index i + 2 l: the generator 1 =
+        # (1, e) lies in the nucleus, so only the next generator, 2 = (0, 1),
+        # sees that L is not associative
+        def z2_times(loop):
+            i, l = np.arange(2 * len(loop)) % 2, np.arange(2 * len(loop)) // 2
+            return (i[:, None] + i) % 2 + 2 * loop[l[:, None], l]
+
+        cyclic = np.add.outer(np.arange(8), np.arange(8)) % 8
+        assert FiniteGroupTable(16, table=z2_times(cyclic)).size == 16
+        with pytest.raises(ValueError, match=r"associativity fails at \(\d+,2,\d+\)"):
+            FiniteGroupTable(16, table=z2_times(_swapped_cyclic_table(8)))
+
+    def test_identity_must_be_element_0(self):
+        table = np.add.outer(np.arange(3), np.arange(3) + 2) % 3  # identity is 1
+        with pytest.raises(ValueError, match="not a two-sided identity"):
+            FiniteGroupTable(3, table=table, inverses=[2, 1, 0])
+
+    @pytest.mark.parametrize(
+        "group",
+        # Z4 and D2 swaps give groups again; the others give non-groups
+        [_cyclic_group(n) for n in (4, 6, 8)] + [make_dihedral_group(d) for d in (2, 3, 4)],
+        ids=lambda g: g.name,
+    )
+    def test_intercalate_swaps_agree_with_brute_force(self, group):
+        """Every Latin square one intercalate swap away from the group's
+        table is accepted exactly when it is a group by an n^3 check."""
+        n = group.size
+        base = np.array([group.row(a) for a in group.elements()])
+        cells = itertools.product(range(1, n), repeat=4)
+        swaps = [
+            (x, y, u, v)
+            for x, y, u, v in cells
+            if x < u and y < v and base[x, y] == base[u, v] and base[x, v] == base[u, y]
+        ]
+        assert swaps
+        for x, y, u, v in swaps:
+            table = base.copy()
+            table[x, y], table[x, v] = table[x, v], table[x, y]
+            table[u, v], table[u, y] = table[u, y], table[u, v]
+            expected = _is_group_by_brute_force(table.tolist())
+            try:
+                FiniteGroupTable(n, table=table)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (x, y, u, v)
+
+    def test_bad_inverses_rejected(self):
+        group = make_dihedral_group(5)
+        table = np.array([group.row(a) for a in group.elements()])
+        inverses = [group.inv(a) for a in group.elements()]
+        inverses[1], inverses[2] = inverses[2], inverses[1]
+        with pytest.raises(ValueError, match="inverse table wrong at element 1"):
+            FiniteGroupTable(group.size, table=table, inverses=inverses)
+
+    def test_bad_image_rows_rejected(self):
+        s7 = make_symmetric_group(7)
+        images = np.array([p.images for p in s7.permutations])
+        inverses = [s7.inv(a) for a in s7.elements()]
+        FiniteGroupTable(s7.size, images=images, inverses=inverses)
+        repeated = images.copy()
+        repeated[5] = repeated[6]
+        with pytest.raises(ValueError, match="not the elements of S_7"):
+            FiniteGroupTable(s7.size, images=repeated, inverses=inverses)
+        with pytest.raises(ValueError, match="not a two-sided identity"):
+            FiniteGroupTable(s7.size, images=np.roll(images, 1, axis=0), inverses=inverses)
+        with pytest.raises(ValueError, match="inverse table wrong at element 1"):
+            FiniteGroupTable(s7.size, images=images, inverses=[0] + inverses[2:] + [1])
+        # S_6 inside S_7: permutations of 7 points, but not all of them
+        s6 = make_symmetric_group(6)
+        fixing = np.array([p.images + (6,) for p in s6.permutations])
+        with pytest.raises(ValueError, match="not the elements of S_7"):
+            FiniteGroupTable(s6.size, images=fixing, inverses=[s6.inv(a) for a in s6.elements()])
+
 
 class TestClassProducts:
     def test_s3_transposition_square(self):
@@ -141,11 +262,6 @@ class TestClassProducts:
         trans, four = by_type[(2, 1, 1)], by_type[(4,)]
         expected = (1 << by_type[(2, 2)]) | (1 << by_type[(3, 1)])
         assert table[trans][four] == expected
-
-
-def _cyclic_group(n):
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroupTable(n, table=table, name=f"Z{n}")
 
 
 def _element_commutators(group):

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -378,6 +379,27 @@ class TestOtherCommands:
         code, _, err = run_cli(["invariants", "--word", "1,2"], capsys)
         assert code == 2
 
+    def test_zero_modulus_is_usage_error(self, capsys):
+        for command in ("invariants", "normal-form"):
+            for d in ("0", "-3"):
+                result = run_cli([command, "--word", "0,1", "--d", d], capsys)
+                assert result == (2, "", "error: modulus must be at least 1\n")
+
+    def test_verify_report_does_not_depend_on_seed(self, capsys):
+        reports = []
+        for seed in ("1", "2"):
+            code, out, _ = run_cli(
+                ["verify", "--criteria", "10,12", "--format", "json", "--seed", seed], capsys
+            )
+            assert code == 0
+            reports.append(json.loads(out))
+        assert [r["config"].pop("seed") for r in reports] == [1, 2]
+        assert reports[0] == reports[1]
+        moves, lemmas = (c["details"] for c in reports[0]["criteria"])
+        assert moves["move_box"] == {"letters": [-3, 3], "lengths": [1, 4]}
+        assert moves["move_cases"] == 19600
+        assert lemmas["triple_cases"] == 136120 and lemmas["lift_cases"] == 85176
+
     def test_verify_subset(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--criteria", "3,12", "--format", "json"], capsys
@@ -414,3 +436,16 @@ class TestEntryPoint:
         for path in sources:
             for number, line in enumerate(path.read_bytes().splitlines(), 1):
                 assert line.isascii(), f"{path.name}:{number} is not ASCII"
+
+    def test_package_imports_no_random(self):
+        for path in sorted(Path(ybe_growth.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                assert all(m.split(".")[0] != "random" for m in modules), (
+                    f"{path.name}:{node.lineno} imports random"
+                )
