@@ -132,7 +132,8 @@ class FiniteGroupTable:
     the result; the latter keeps S_7 and S_8 free of an n x n table.
 
     Construction checks the group axioms on every element, for every n: the
-    identity and the inverses in vectorised passes over all n elements, and
+    identity and two-sided inverses (the 0 in each table row, or the inverse
+    permutations) in vectorised passes over all n elements, and
     associativity of a table by Light's test on a generating set read off the
     table (two n x n gathers per generator).  Image rows must be the d!
     permutations of {0..d-1}, that is all of S_d, which is a group.
@@ -149,7 +150,6 @@ class FiniteGroupTable:
         table: Optional[np.ndarray] = None,
         images: Optional[np.ndarray] = None,
         class_keys: Optional[Sequence] = None,
-        inverses: Optional[Sequence[int]] = None,
         labels: Optional[Sequence[str]] = None,
         name: str = "G",
     ):
@@ -166,15 +166,9 @@ class FiniteGroupTable:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(size)]
         if len(self.labels) != size:
             raise ValueError("label count does not match group size")
-        if inverses is None:  # _validate checks them on both sides
-            if self._table is not None:  # where each row holds the identity
-                inverses = np.argmax(self._table == 0, axis=1)
-            else:  # the inverse permutations
-                inverses = self._rank(np.argsort(self._images, axis=1))
-        self._inv = [int(x) for x in inverses]
         self._classes: Optional[ConjugacyDecomposition] = None
         self._algebra: Optional[ClassAlgebra] = None
-        self._validate()
+        self._inv = self._validate()
 
     # -- core operations ---------------------------------------------------
 
@@ -212,9 +206,10 @@ class FiniteGroupTable:
 
     # -- construction helpers ----------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self) -> list[int]:
         """Check the group axioms on every element: element 0 is a two-sided
-        identity, the inverses are inverses, and a table is associative."""
+        identity, every element has a two-sided inverse, and a table is
+        associative.  Returns the inverses."""
         n = self.size
         every = np.arange(n)
         table, images = self._table, self._images
@@ -227,16 +222,17 @@ class FiniteGroupTable:
                 raise ValueError(f"the {n} image rows are not the elements of S_{d}")
         elif table.shape != (n, n) or table.min() < 0 or table.max() >= n:
             raise ValueError("table entry out of range")
-        inv = np.asarray(self._inv, dtype=np.int64)
-        if inv.shape != (n,) or inv.min() < 0 or inv.max() >= n:
-            raise ValueError("inverse table out of range")
         if (np.stack([self.products(0, every), self.products(every, 0)]) != every).any():
             raise ValueError("element 0 is not a two-sided identity")
+        if table is None:  # the inverse permutations
+            inv = self._rank(np.argsort(images, axis=1))
+        else:  # where each row holds the identity, checked on both sides
+            inv = np.argmax(table == 0, axis=1)
         wrong = np.flatnonzero((self.products(every, inv) != 0) | (self.products(inv, every) != 0))
         if wrong.size:
-            raise ValueError(f"inverse table wrong at element {wrong[0]}")
+            raise ValueError(f"element {wrong[0]} has no two-sided inverse")
         if table is None:
-            return
+            return inv.tolist()
         # Light's test: the a with (x a) y = x (a y) for all x, y are closed
         # under products, so a generating set suffices.  Each generator is the
         # smallest element not yet reached; the reached set is then closed by
@@ -258,6 +254,7 @@ class FiniteGroupTable:
                 if grown.size == members.size:
                     break
                 members = grown
+        return inv.tolist()
 
     # -- conjugacy and commutators ------------------------------------------
 
@@ -321,7 +318,6 @@ class FiniteGroupTable:
             "size": self.size,
             "labels": self.labels,
             "mult": self._table.tolist(),
-            "inv": list(self._inv),
         }
 
     @classmethod
@@ -329,7 +325,6 @@ class FiniteGroupTable:
         return cls(
             int(data["size"]),
             table=np.asarray(data["mult"], dtype=np.int64),
-            inverses=data.get("inv"),
             labels=data.get("labels"),
             name=data.get("name", "G"),
         )

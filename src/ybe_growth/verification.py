@@ -65,9 +65,10 @@ GEOM = RationalGF(ONE_PLUS_T, ONE_MINUS_T)  # (1+t)/(1-t)
 MOVE_LETTERS = range(-3, 4)  # letters of the moved words, and the moved letter
 MOVE_LENGTHS = range(1, 5)
 TRIPLE_BOX = range(-20, 21)  # a, b and c of the gcd witness
-LIFT_VALUES = range(-6, 7)
-LIFT_ARITIES = (2, 3)
-LIFT_MODULI = range(1, 25)
+LIFT_BOXES = (  # (arities, values, moduli) of the coprime lifts
+    ((2, 3), range(-6, 7), range(1, 25)),
+    ((4,), range(-3, 4), range(1, 13)),
+)
 
 
 @dataclass
@@ -465,15 +466,16 @@ def check_constructive_lemmas() -> CriterionResult:
             gcd_ok &= witnessed and parity in (None, n % 2)
     lift_ok = True
     lift_cases = 0
-    for d, k in iproduct(LIFT_MODULI, LIFT_ARITIES):
-        for values in iproduct(LIFT_VALUES, repeat=k):
-            # odd lifts can be forced only for odd d
-            for force_odd in (False, True) if d % 2 else (False,):
-                lift_cases += 1
-                m = lift_to_coprime(values, d, force_odd)
-                final = [v + mi * d for v, mi in zip(values, m)]
-                lift_ok &= gcd(*final) == gcd(d, *values)
-                lift_ok &= not (force_odd and any(v % 2 == 0 for v in final))
+    for arities, value_box, moduli in LIFT_BOXES:
+        for d, k in iproduct(moduli, arities):
+            for values in iproduct(value_box, repeat=k):
+                # odd lifts can be forced only for odd d
+                for force_odd in (False, True) if d % 2 else (False,):
+                    lift_cases += 1
+                    m = lift_to_coprime(values, d, force_odd)
+                    final = [v + mi * d for v, mi in zip(values, m)]
+                    lift_ok &= gcd(*final) == gcd(d, *values)
+                    lift_ok &= not (force_odd and any(v % 2 == 0 for v in final))
     return CriterionResult(
         "12",
         "Constructive gcd witness and coprime lifting lemmas",
@@ -482,11 +484,10 @@ def check_constructive_lemmas() -> CriterionResult:
             "triple_box": {"abc": _bounds(TRIPLE_BOX), "parities": [None, 0, 1]},
             "triple_cases": triple_cases,
             "triple_gcd_ok": gcd_ok,
-            "lift_box": {
-                "values": _bounds(LIFT_VALUES),
-                "arities": list(LIFT_ARITIES),
-                "moduli": _bounds(LIFT_MODULI),
-            },
+            "lift_boxes": [
+                {"arities": list(arities), "values": _bounds(values), "moduli": _bounds(moduli)}
+                for arities, values, moduli in LIFT_BOXES
+            ],
             "lift_cases": lift_cases,
             "lift_ok": lift_ok,
         },

@@ -138,6 +138,7 @@ class TestGroups:
         again = FiniteGroupTable.from_json(group.to_json())
         assert again.size == 8
         assert again.mul(1, 2) == group.mul(1, 2)
+        assert [again.inv(a) for a in again.elements()] == [group.inv(a) for a in group.elements()]
 
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +176,7 @@ class TestGroups:
     def test_identity_must_be_element_0(self):
         table = np.add.outer(np.arange(3), np.arange(3) + 2) % 3  # identity is 1
         with pytest.raises(ValueError, match="not a two-sided identity"):
-            FiniteGroupTable(3, table=table, inverses=[2, 1, 0])
+            FiniteGroupTable(3, table=table)
 
     @pytest.mark.parametrize(
         "group",
@@ -207,32 +208,36 @@ class TestGroups:
                 accepted = False
             assert accepted == expected, (x, y, u, v)
 
-    def test_bad_inverses_rejected(self):
-        group = make_dihedral_group(5)
-        table = np.array([group.row(a) for a in group.elements()])
-        inverses = [group.inv(a) for a in group.elements()]
-        inverses[1], inverses[2] = inverses[2], inverses[1]
-        with pytest.raises(ValueError, match="inverse table wrong at element 1"):
-            FiniteGroupTable(group.size, table=table, inverses=inverses)
+    def test_missing_inverses_rejected(self):
+        # Z5 with 4 * 1 = 4: 1 * 4 = 0 but 4 * 1 is not 0, and row 4 holds no 0
+        table = np.add.outer(np.arange(5), np.arange(5)) % 5
+        table[4, 1] = 4
+        with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
+            FiniteGroupTable(5, table=table)
 
     def test_bad_image_rows_rejected(self):
         s7 = make_symmetric_group(7)
         images = np.array([p.images for p in s7.permutations])
-        inverses = [s7.inv(a) for a in s7.elements()]
-        FiniteGroupTable(s7.size, images=images, inverses=inverses)
+        group = FiniteGroupTable(s7.size, images=images)
+        assert [group.inv(a) for a in group.elements()] == [s7.inv(a) for a in s7.elements()]
         repeated = images.copy()
         repeated[5] = repeated[6]
         with pytest.raises(ValueError, match="not the elements of S_7"):
-            FiniteGroupTable(s7.size, images=repeated, inverses=inverses)
+            FiniteGroupTable(s7.size, images=repeated)
+        # the reversal with its 0 made -1: the row's inverse by argsort is the
+        # reversal, which is no longer stored and outranks every stored row
+        reversal = images.tolist().index(list(range(6, -1, -1)))
+        negative = images.copy()
+        negative[reversal, 6] = -1
+        with pytest.raises(ValueError, match="not the elements of S_7"):
+            FiniteGroupTable(s7.size, images=negative)
         with pytest.raises(ValueError, match="not a two-sided identity"):
-            FiniteGroupTable(s7.size, images=np.roll(images, 1, axis=0), inverses=inverses)
-        with pytest.raises(ValueError, match="inverse table wrong at element 1"):
-            FiniteGroupTable(s7.size, images=images, inverses=[0] + inverses[2:] + [1])
+            FiniteGroupTable(s7.size, images=np.roll(images, 1, axis=0))
         # S_6 inside S_7: permutations of 7 points, but not all of them
         s6 = make_symmetric_group(6)
         fixing = np.array([p.images + (6,) for p in s6.permutations])
         with pytest.raises(ValueError, match="not the elements of S_7"):
-            FiniteGroupTable(s6.size, images=fixing, inverses=[s6.inv(a) for a in s6.elements()])
+            FiniteGroupTable(s6.size, images=fixing)
 
 
 class TestClassProducts:

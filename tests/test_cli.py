@@ -398,7 +398,7 @@ class TestOtherCommands:
         moves, lemmas = (c["details"] for c in reports[0]["criteria"])
         assert moves["move_box"] == {"letters": [-3, 3], "lengths": [1, 4]}
         assert moves["move_cases"] == 19600
-        assert lemmas["triple_cases"] == 136120 and lemmas["lift_cases"] == 85176
+        assert lemmas["triple_cases"] == 136120 and lemmas["lift_cases"] == 128394
 
     def test_verify_subset(self, capsys):
         code, out, _ = run_cli(
