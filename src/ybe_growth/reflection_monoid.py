@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .series import ONE, ONE_MINUS_T, Polynomial, RationalGF, T
 
@@ -30,11 +30,11 @@ class ReflectionWord:
     modulus: Optional[int] = None
 
     def __post_init__(self):
-        letters = tuple(int(a) for a in self.letters)
+        letters = tuple(map(int, self.letters))
         if self.modulus is not None:
             if self.modulus < 1:
                 raise ValueError("modulus must be at least 1")
-            if any(not 0 <= a < self.modulus for a in letters):
+            if letters and (min(letters) < 0 or max(letters) >= self.modulus):
                 raise ValueError("letters out of range for the modulus")
         object.__setattr__(self, "letters", letters)
 
@@ -58,8 +58,7 @@ class ReflectionWord:
         return ",".join(str(a) for a in self.letters)
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(NamedTuple):
     """The complete invariant of a reflection-monoid element."""
 
     modulus: Optional[int]
@@ -87,6 +86,11 @@ class InvariantTuple:
         return ((self.weight - adjust) % self.modulus) // self.density % self.level
 
 
+def _weight(letters: tuple[int, ...]) -> int:
+    """Alternating letter sum a_1 - a_2 + a_3 - ..., unreduced."""
+    return sum(letters[0::2]) - sum(letters[1::2])
+
+
 def invariants(word: ReflectionWord) -> InvariantTuple:
     """All five invariants of a word; constant on braiding orbits."""
     letters = word.letters
@@ -94,8 +98,8 @@ def invariants(word: ReflectionWord) -> InvariantTuple:
     d = word.modulus
     if n == 0:
         return InvariantTuple(d, 0, 0 if d is None else d, 0, 0, 0, 0)
-    weight = sum(a if i % 2 == 0 else -a for i, a in enumerate(letters))
-    diffs = [letters[i] - letters[i + 1] for i in range(n - 1)]
+    weight = _weight(letters)
+    diffs = [x - y for x, y in zip(letters, letters[1:])]
     if d is None:
         density = math.gcd(*diffs)
         anchor = letters[0] % density if density > 0 else letters[0]
@@ -111,15 +115,13 @@ def _essential_lengths(letters, n, d, density, anchor) -> tuple[int, int]:
     if d is None:
         if density == 0:
             return (n, 0) if letters[0] % 2 == 0 else (0, n)
-        ess = [(a - anchor) // density for a in letters]
-    else:
-        level = d // density
-        if level % 2 == 1:
-            # parity collapses at odd level; fixed by convention
-            return n, 0
-        ess = [((a - anchor) % d) // density for a in letters]
-    even = sum(1 for a in ess if a % 2 == 0)
-    return even, n - even
+    elif d // density % 2 == 1:
+        # parity collapses at odd level; fixed by convention
+        return n, 0
+    # every letter is anchor + density * (essential letter); over Z_d the
+    # letters lie in [anchor, d), so no reduction mod d is needed
+    odd = sum((a - anchor) // density & 1 for a in letters)
+    return n - odd, odd
 
 
 def essentialise(word: ReflectionWord) -> ReflectionWord:
@@ -139,8 +141,8 @@ def essentialise(word: ReflectionWord) -> ReflectionWord:
 
 def push_through(word: ReflectionWord, a: int) -> int:
     """The letter b with word * e_a = e_b * word: (-1)^len * a + 2 * weight."""
-    inv = invariants(word)
-    b = (-1) ** inv.length * a + 2 * inv.weight
+    letters = word.letters
+    b = (-1) ** len(letters) * a + 2 * _weight(letters)
     if word.modulus is not None:
         b %= word.modulus
     return b
@@ -296,8 +298,12 @@ def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> 
     """n >= 1 with gcd(a + n c, b + n c) = gcd(a, b, c), of the requested
     parity when asked (which needs a, b of different parity).
 
-    Built by the Chinese remainder theorem over the prime divisors of b - a,
-    with a verified bounded search as fallback.
+    With g = gcd(a, b, c), a common prime of a/g + n c/g and b/g + n c/g
+    divides (b - a)/g.  For each such prime p, take n = 1 (mod p) where p
+    divides a/g (then p divides b/g, so not c/g) and n = 0 (mod p)
+    elsewhere; either way p does not divide a/g + n c/g.  These, plus the
+    parity mod 2, are solved by the Chinese remainder theorem; the moduli
+    are coprime, as a parity needs b - a odd.
     """
     if a == b:
         raise ValueError("requires a != b")
@@ -307,44 +313,31 @@ def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> 
         if (a - b) % 2 == 0:
             raise ValueError("parity constraint needs a, b of different parity")
     g = math.gcd(a, b, c)
-    ar, br, cr = a // g, b // g, c // g
+    ar, br = a // g, b // g
     congruences = []
     for p in _prime_factors(br - ar):
         congruences.append((0 if ar % p else 1, p))
     if parity is not None:
         congruences.append((parity, 2))
-    try:
-        n, mod = _crt(congruences) if congruences else (1, 1)
-        if n < 1:
-            n += mod
-        if n < 1:
-            n = mod
-        if math.gcd(a + n * c, b + n * c) == g and (parity is None or n % 2 == parity):
-            return n
-    except ValueError:
-        pass
-    step = 1 if parity is None else 2
-    start = 1 if parity is None or parity == 1 else 2
-    bound = 4 * abs(b - a) * max(abs(c), 1) + 16
-    for n in range(start, bound, step):
-        if math.gcd(a + n * c, b + n * c) == g:
-            return n
-    raise ArithmeticError(f"no witness found for ({a}, {b}, {c}, parity={parity})")
+    n, mod = _crt(congruences)
+    if n < 1:
+        n += mod
+    if math.gcd(a + n * c, b + n * c) != g or (parity is not None and n % 2 != parity):
+        raise AssertionError("gcd witness failed verification")
+    return n
 
 
-def _pair_lift(x: int, a: int, d: int) -> int:
-    """m with gcd(x, a + m d) = gcd(d, x, a); needs x != 0."""
-    if x == 0:
-        raise ValueError("anchor must be nonzero")
+def _pair_lift(x: int, a: int, d: int, primes: Sequence[int]) -> int:
+    """m with gcd(x, a + m d) = gcd(d, x, a), given the primes of x != 0."""
     g = math.gcd(d, x, a)
     xr, ar, dr = x // g, a // g, d // g
     congruences = []
-    for p in _prime_factors(xr):
-        if dr % p == 0:
-            continue  # p cannot divide a_r, any m works mod p
-        inv = pow(dr % p, -1, p)
-        congruences.append(((1 - ar) * inv % p, p))
-    m = _crt(congruences)[0] if congruences else 0
+    for p in primes:
+        # only primes of x/g constrain m; one that also divides d/g cannot
+        # divide a/g, so any m works mod it
+        if xr % p == 0 and dr % p:
+            congruences.append(((1 - ar) * pow(dr, -1, p) % p, p))
+    m = _crt(congruences)[0]
     if math.gcd(x, a + m * d) != g:
         raise AssertionError("pairwise lift failed verification")
     return m
@@ -353,7 +346,7 @@ def _pair_lift(x: int, a: int, d: int) -> int:
 def lift_to_coprime(values: Sequence[int], d: int, force_odd: bool = False) -> list[int]:
     """Offsets m with gcd_i(values_i + m_i d) = gcd(d, values...); with
     force_odd (d odd) every lifted value is odd."""
-    values = [int(v) for v in values]
+    values = list(map(int, values))
     if len(values) < 2:
         raise ValueError("need at least two values")
     if force_odd and d % 2 == 0:
@@ -362,26 +355,27 @@ def lift_to_coprime(values: Sequence[int], d: int, force_odd: bool = False) -> l
     if d == 0:
         return [0] * len(values)
     if force_odd:
-        base = [0 if v % 2 == 1 else 1 for v in values]
+        result = [1 - (v & 1) for v in values]  # even values move up by d
+        lifted = [v + m * d for v, m in zip(values, result)]
         step = 2 * d
     else:
-        base = [0] * len(values)
+        result = [0] * len(values)
+        lifted = values
         step = d
-    lifted = [v + b * d for v, b in zip(values, base)]
-    if all(v == 0 for v in lifted):
-        result = [b + 1 for b in base]  # all values become d (odd when forced)
+    for i, x in enumerate(lifted):
+        if x:  # the first nonzero value anchors the pairwise lifts
+            primes = _prime_factors(x)
+            scale = step // d
+            for j, v in enumerate(lifted):
+                if j != i:
+                    result[j] += _pair_lift(x, v, step, primes) * scale
+            break
     else:
-        anchor = next(i for i, v in enumerate(lifted) if v != 0)
-        result = list(base)
-        for i, v in enumerate(lifted):
-            if i == anchor:
-                continue
-            m = _pair_lift(lifted[anchor], v, step)
-            result[i] = base[i] + m * (step // d)
+        result = [m + 1 for m in result]  # all values become d (odd when forced)
     final = [v + m * d for v, m in zip(values, result)]
     if math.gcd(*final) != target:
         raise AssertionError("coprime lift failed verification")
-    if force_odd and any(v % 2 == 0 for v in final):
+    if force_odd and not all(v & 1 for v in final):
         raise AssertionError("coprime lift failed the parity requirement")
     return result
 

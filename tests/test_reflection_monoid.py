@@ -10,6 +10,7 @@ from ybe_growth.oracle import (
     reflection_orbit_closure,
     reflection_orbit_equal_infinite,
 )
+from ybe_growth import reflection_monoid
 from ybe_growth.reflection_monoid import (
     InvariantTuple,
     ReflectionWord,
@@ -36,6 +37,47 @@ ONE_MINUS_T = ONE - T
 
 def w(letters, d=None):
     return ReflectionWord(tuple(letters), d)
+
+
+class TestReflectionWord:
+    def test_letter_range(self):
+        with pytest.raises(ValueError):
+            w((0, 5), 5)  # a letter equal to the modulus
+        with pytest.raises(ValueError):
+            w((-1, 2), 5)
+        assert w((), 5).letters == ()
+        assert w((4, 0), 5).letters == (4, 0)
+
+
+class TestInvariantTuple:
+    def test_value_semantics(self):
+        inv = invariants(w((1, -1, 1)))
+        same = InvariantTuple(None, 3, 2, 1, 2, 1, 3)
+        assert inv == same and hash(inv) == hash(same)
+        assert len({inv, same, invariants(w((1, 1, -1)))}) == 2
+        assert repr(inv) == (
+            "InvariantTuple(modulus=None, weight=3, density=2, anchor=1, "
+            "essential_even=2, essential_odd=1, length=3)"
+        )
+        with pytest.raises(AttributeError):
+            inv.weight = 0
+
+    def test_level(self):
+        assert invariants(w((1, -1))).level is None
+        assert invariants(w((0, 2), 4)).level == 2
+        assert invariants(w((), 6)).level == 1
+
+    def test_essential_weight_is_weight_of_essentialisation(self):
+        for letters in iproduct(range(-3, 4), repeat=3):
+            word = w(letters)
+            if invariants(word).density:
+                assert invariants(word).essential_weight() == invariants(essentialise(word)).weight
+        for d in (4, 6, 9):
+            for letters in iproduct(range(d), repeat=3):
+                word = w(letters, d)
+                assert invariants(word).essential_weight() == invariants(essentialise(word)).weight
+        with pytest.raises(ValueError):
+            invariants(w((2, 2))).essential_weight()
 
 
 class TestInvariants:
@@ -154,6 +196,16 @@ class TestPushThrough:
 
     def test_finite(self):
         assert push_through(w((0, 1), 5), 0) == 3  # (-1)^2*0 + 2*(0-1) mod 5
+
+    @pytest.mark.parametrize("d", [None, 5, 6])
+    def test_matches_invariant_weight(self, d):
+        letters = range(-3, 4) if d is None else range(d)
+        for n in range(4):
+            for word_letters in iproduct(letters, repeat=n):
+                word = w(word_letters, d)
+                for a in letters:
+                    b = (-1) ** n * a + 2 * invariants(word).weight
+                    assert push_through(word, a) == (b if d is None else b % d)
 
 
 class TestNormalForm:
@@ -358,6 +410,27 @@ class TestArithmeticLemmas:
         assert lift_to_coprime([1, 1], 9) is not None
         m = lift_to_coprime([0, 3], 9)
         assert math.gcd(0 + 9 * m[0], 3 + 9 * m[1]) == 3
+
+    @pytest.mark.parametrize(
+        "anchor, d",
+        [(4, 4), (12, 2), (8, 6), (9, 3), (18, 12), (20, 5), (27, 9), (25, 15)],
+    )
+    def test_lift_repeated_prime_anchors(self, anchor, d):
+        # anchors with p^2 | x, or with p | gcd but p still dividing x / gcd
+        box = range(-12, 13)
+        cases = [(anchor, v) for v in box] + [(anchor, u, v) for u, v in iproduct(box, repeat=2)]
+        for force_odd in (False, True) if d % 2 else (False,):
+            for values in cases:
+                m = lift_to_coprime(values, d, force_odd)
+                final = [v + mi * d for v, mi in zip(values, m)]
+                assert math.gcd(*final) == math.gcd(d, *values)
+                assert not force_odd or all(v % 2 for v in final)
+
+    def test_witness_checks_its_answer(self, monkeypatch):
+        # without the prime constraints the CRT answer n = 1 gives gcd(2, 4) = 2
+        monkeypatch.setattr(reflection_monoid, "_prime_factors", lambda n: ())
+        with pytest.raises(AssertionError):
+            triple_gcd_witness(1, 3, 1)
 
     def test_lift_preconditions(self):
         with pytest.raises(ValueError):
