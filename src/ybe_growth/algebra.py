@@ -1,10 +1,11 @@
 """Finite groups as multiplication tables, conjugacy-class machinery,
 quandle-type Yang-Baxter solutions, and set partitions.
 
-Groups keep element 0 as the identity.  Small groups (n <= DENSE_LIMIT)
-materialise the full multiplication table as a numpy array; larger symmetric
-groups multiply by gathering permutation images.  Each group caches one
-ClassAlgebra: its classes, class product table and commutator masks.
+Groups keep element 0 as the identity.  A group is given either by its
+multiplication table or, for S_d, by its image matrix (one row of images per
+permutation); image groups with n <= DENSE_LIMIT also build the table, larger
+ones multiply by gathering images.  Each group caches one ClassAlgebra: its
+classes, class product table and commutator masks.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class Permutation:
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
 
-    def is_transposition(self) -> bool:
-        cyc = self.cycles()
-        return len(cyc) == 1 and len(cyc[0]) == 2
-
     def label(self) -> str:
         cyc = self.cycles()
         if not cyc:
@@ -125,22 +122,21 @@ class ConjugacyDecomposition:
 
 
 class FiniteGroupTable:
-    """A finite group given by its multiplication structure.
+    """A finite group given by exactly one of two multiplication structures.
 
-    Either a dense numpy table is stored, or the permutation images of the
-    elements (one row per element), multiplied by gathering images and ranking
-    the result; the latter keeps S_7 and S_8 free of an n x n table.
+    table= is a dense n x n numpy table.  images= is an n x d matrix whose
+    rows are the d! permutations of {0..d-1}, that is all of S_d, which is a
+    group; (p_a * p_b)(i) = p_a[p_b[i]].  When n <= DENSE_LIMIT the table is
+    built from the image rows; larger image groups (S_7, S_8) multiply by
+    gathering images and ranking the result, free of an n x n table.  Labels
+    of image groups are their cycle notation, made when asked for.
 
     Construction checks the group axioms on every element, for every n: the
     identity and two-sided inverses (the 0 in each table row, or the inverse
     permutations) in vectorised passes over all n elements, and
-    associativity of a table by Light's test on a generating set read off the
-    table (two n x n gathers per generator).  Image rows must be the d!
-    permutations of {0..d-1}, that is all of S_d, which is a group.
-
-    class_keys, when given, is a complete conjugacy invariant per element
-    (such as the cycle type in S_d): elements are conjugate exactly when their
-    keys are equal, and the conjugacy classes are read off the keys.
+    associativity of a given table by Light's test on a generating set read
+    off the table (two n x n gathers per generator).  A table built from
+    image rows composes permutations, so it is associative by construction.
     """
 
     def __init__(
@@ -149,22 +145,20 @@ class FiniteGroupTable:
         *,
         table: Optional[np.ndarray] = None,
         images: Optional[np.ndarray] = None,
-        class_keys: Optional[Sequence] = None,
         labels: Optional[Sequence[str]] = None,
         name: str = "G",
     ):
         if size <= 0:
             raise ValueError("group size must be positive")
-        if table is None and images is None:
-            raise ValueError("need a multiplication table or permutation images")
+        if (table is None) == (images is None):
+            raise ValueError("need exactly one of a multiplication table or permutation images")
         self.size = size
         self.name = name
         self._table = None if table is None else np.asarray(table, dtype=np.int64)
-        self._images = None if images is None else np.asarray(images, dtype=np.int64)
-        self._rank = None if images is None else _image_ranker(self._images)
-        self._class_keys = class_keys
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(size)]
-        if len(self.labels) != size:
+        self.images = None if images is None else np.asarray(images, dtype=np.int64)
+        self._rank = None if images is None else _image_ranker(self.images)
+        self.labels = None if labels is None else list(labels)
+        if labels is not None and len(self.labels) != size:
             raise ValueError("label count does not match group size")
         self._classes: Optional[ConjugacyDecomposition] = None
         self._algebra: Optional[ClassAlgebra] = None
@@ -175,21 +169,21 @@ class FiniteGroupTable:
     def mul(self, a: int, b: int) -> int:
         if self._table is not None:
             return int(self._table[a, b])
-        return int(self._rank(self._images[a][self._images[b]]))
+        return int(self._rank(self.images[a][self.images[b]]))
 
     def row(self, a: int) -> np.ndarray:
         """a * b for every element b."""
         if self._table is not None:
             return self._table[a]
         # (p_a * p_b)(i) = p_a[p_b[i]]: gather p_a through every image row
-        return self._rank(self._images[a][self._images])
+        return self._rank(self.images[a][self.images])
 
     def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b elementwise over broadcast arrays of elements."""
         if self._table is not None:
             return self._table[a, b]
         a, b = np.broadcast_arrays(a, b)
-        return self._rank(np.take_along_axis(self._images[a], self._images[b], axis=-1))
+        return self._rank(np.take_along_axis(self.images[a], self.images[b], axis=-1))
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -202,36 +196,43 @@ class FiniteGroupTable:
         return range(self.size)
 
     def label(self, a: int) -> str:
-        return self.labels[a]
+        if self.labels is not None:
+            return self.labels[a]
+        if self.images is not None:
+            return Permutation(self.images[a].tolist()).label()
+        return str(a)
 
     # -- construction helpers ----------------------------------------------
 
     def _validate(self) -> list[int]:
         """Check the group axioms on every element: element 0 is a two-sided
-        identity, every element has a two-sided inverse, and a table is
-        associative.  Returns the inverses."""
+        identity, every element has a two-sided inverse, and a given table is
+        associative.  Builds the table of a small image group.  Returns the
+        inverses."""
         n = self.size
         every = np.arange(n)
-        table, images = self._table, self._images
-        if table is None:
+        table, images = self._table, self.images
+        if images is not None:
             # d! distinct permutations of {0..d-1} are all of S_d: closed,
             # associative, and every product has a rank
             d = images.shape[1]
             perms = np.array_equal(np.sort(images, axis=1), np.broadcast_to(np.arange(d), (n, d)))
             if n != math.factorial(d) or not perms or not np.array_equal(self._rank(images), every):
                 raise ValueError(f"the {n} image rows are not the elements of S_{d}")
+            if n <= DENSE_LIMIT:
+                self._table = np.stack([self.row(a) for a in range(n)])
         elif table.shape != (n, n) or table.min() < 0 or table.max() >= n:
             raise ValueError("table entry out of range")
         if (np.stack([self.products(0, every), self.products(every, 0)]) != every).any():
             raise ValueError("element 0 is not a two-sided identity")
-        if table is None:  # the inverse permutations
+        if images is not None:  # the inverse permutations
             inv = self._rank(np.argsort(images, axis=1))
         else:  # where each row holds the identity, checked on both sides
             inv = np.argmax(table == 0, axis=1)
         wrong = np.flatnonzero((self.products(every, inv) != 0) | (self.products(inv, every) != 0))
         if wrong.size:
             raise ValueError(f"element {wrong[0]} has no two-sided inverse")
-        if table is None:
+        if images is not None:
             return inv.tolist()
         # Light's test: the a with (x a) y = x (a y) for all x, y are closed
         # under products, so a generating set suffices.  Each generator is the
@@ -264,32 +265,34 @@ class FiniteGroupTable:
         return self._classes
 
     def _decompose(self) -> ConjugacyDecomposition:
+        """Classes one at a time: the smallest element x without a class yet
+        has the class {h x h^-1 : h in G}, taken with one gather per factor."""
         n = self.size
-        if self._class_keys is not None:
-            by_key: dict = {}
-            for x, key in enumerate(self._class_keys):
-                by_key.setdefault(key, []).append(x)
-            raw = list(by_key.values())
-        else:
-            raw = []
-            seen = [False] * n
-            for start in range(n):
-                if not seen[start]:
-                    orbit = sorted({self.conjugate(h, start) for h in range(n)})
-                    for x in orbit:
-                        seen[x] = True
-                    raw.append(orbit)
-        ident = next(c for c in raw if c[0] == 0)
-        rest = sorted((c for c in raw if c is not ident), key=lambda c: (len(c), c[0]))
-        classes = [tuple(ident)] + [tuple(c) for c in rest]
-        class_of = [-1] * n
+        inv = np.asarray(self._inv)
+        if self._table is None:
+            every, inverse_rows = np.arange(n)[:, None], self.images[inv]
+        raw = []
+        unclassed = np.ones(n, dtype=bool)
+        while unclassed.any():
+            x = int(np.argmax(unclassed))
+            if self._table is not None:
+                orbit = self._table[self._table[:, x], inv]
+            else:  # (h x h^-1)(i) = h[x[h^-1[i]]]
+                orbit = self._rank(self.images[every, self.images[x][inverse_rows]])
+            in_class = np.zeros(n, dtype=bool)
+            in_class[orbit] = True
+            members = np.flatnonzero(in_class)
+            unclassed[members] = False
+            raw.append(members)
+        ident, *rest = raw  # x = 0 comes first
+        classes = [ident] + sorted(rest, key=lambda c: (len(c), c[0]))
+        class_of = np.empty(n, dtype=np.int64)
         for ci, members in enumerate(classes):
-            for x in members:
-                class_of[x] = ci
+            class_of[members] = ci
         return ConjugacyDecomposition(
-            classes=tuple(classes),
-            class_of=tuple(class_of),
-            inverse_class=tuple(class_of[self._inv[c[0]]] for c in classes),
+            classes=tuple(tuple(c.tolist()) for c in classes),
+            class_of=tuple(class_of.tolist()),
+            inverse_class=tuple(int(class_of[inv[c[0]]]) for c in classes),
         )
 
     def class_algebra(self) -> "ClassAlgebra":
@@ -316,7 +319,7 @@ class FiniteGroupTable:
         return {
             "name": self.name,
             "size": self.size,
-            "labels": self.labels,
+            "labels": [self.label(a) for a in self.elements()],
             "mult": self._table.tolist(),
         }
 
@@ -469,36 +472,20 @@ def _image_ranker(images: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def make_symmetric_group(d: int) -> FiniteGroupTable:
-    """S_d with elements sorted by image tuple (identity first).
-
-    Groups up to S_6 (n <= DENSE_LIMIT) store the multiplication table; S_7
-    and S_8 keep the permutation images.  Classes are read off cycle types.
-    """
+    """S_d as its image matrix: element k is the k-th tuple of
+    itertools.permutations(range(d)), so elements are sorted by image tuple
+    and the identity comes first."""
     if not 1 <= d <= 8:
         raise ValueError("symmetric group supported for 1 <= d <= 8")
-    perms = [Permutation(p) for p in itertools.permutations(range(d))]
-    n = len(perms)
-    images = np.array([p.images for p in perms], dtype=np.int64)
-    table = None
-    if n <= DENSE_LIMIT:
-        rank = _image_ranker(images)
-        # composition (p_a * p_b)(i) = p_a[p_b[i]]: image rows images[a][images[b]]
-        table = np.stack([rank(images[a][images]) for a in range(n)])
-    group = FiniteGroupTable(
-        n,
-        table=table,
-        images=images if table is None else None,
-        class_keys=[p.cycle_type() for p in perms],
-        labels=[p.label() for p in perms],
-        name=f"S{d}",
-    )
-    group.permutations = perms
-    return group
+    images = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
+    return FiniteGroupTable(len(images), images=images, name=f"S{d}")
 
 
 def symmetric_transpositions(group: FiniteGroupTable) -> tuple[int, ...]:
-    """Indices of the transpositions inside a group built by make_symmetric_group."""
-    return tuple(i for i, p in enumerate(group.permutations) if p.is_transposition())
+    """Indices of the transpositions of S_d: the image rows that move exactly
+    two points."""
+    moved = (group.images != np.arange(group.images.shape[1])).sum(axis=1)
+    return tuple(np.flatnonzero(moved == 2).tolist())
 
 
 def make_dihedral_group(d: int) -> FiniteGroupTable:

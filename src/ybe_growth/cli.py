@@ -49,7 +49,7 @@ from .reflection_monoid import (
     monoid_growth_reflections,
     normal_form,
 )
-from .series import RationalGF, expand_rational
+from .series import expand_rational
 from .transposition_monoid import (
     egf_column,
     egf_transposition_monoids,
@@ -97,7 +97,7 @@ def _base_report(args, command: str) -> dict:
 def _emit(report: dict, args, csv_rows=None, text_lines=None) -> None:
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
-    elif args.format == "csv" and csv_rows is not None:
+    elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         for row in csv_rows:
@@ -108,16 +108,11 @@ def _emit(report: dict, args, csv_rows=None, text_lines=None) -> None:
             print(line)
 
 
-def _gf_json(gf: RationalGF) -> dict:
-    return gf.to_json()
-
-
 def cmd_group(args) -> int:
     family, d, order = args.solution, args.d, args.order
     report = _base_report(args, "group")
     text = [f"growth series of the structure group ({family}, d={d})"]
     closed = None
-    oracle = None
     if family == "transpositions":
         if d < 2:
             raise UsageError("transpositions need d >= 2")
@@ -153,7 +148,7 @@ def cmd_group(args) -> int:
             "series": result.defect.truncated.to_json(),
         }
         if result.defect.closed_form is not None:
-            report["defect"]["closed_form"] = _gf_json(result.defect.closed_form)
+            report["defect"]["closed_form"] = result.defect.closed_form.to_json()
         if result.defect.diagnostic:
             report["defect"]["diagnostic"] = result.defect.diagnostic
             text.append(f"warning: {result.defect.diagnostic}")
@@ -163,12 +158,10 @@ def cmd_group(args) -> int:
     report["expansion"] = {"order": order, "coefficients": coeffs}
     text.append(f"coefficients (orders 0..{order}): {coeffs}")
     if closed is not None and args.closed_form:
-        report["closed_form"] = _gf_json(closed)
+        report["closed_form"] = closed.to_json()
         text.append(f"closed form: {closed!r}")
     exit_code = 0
     if args.verify:
-        if oracle is None:
-            raise UsageError("no oracle available for this family")
         verdict = list(oracle) == coeffs
         report["oracle"] = {"spheres": list(oracle), "passed": verdict}
         text.append(f"oracle spheres: {list(oracle)} -> {'PASS' if verdict else 'FAIL'}")
@@ -212,7 +205,7 @@ def cmd_monoid(args) -> int:
         report["expansion"] = {"order": order, "coefficients": coeffs}
         text.append(f"coefficients (orders 0..{order}): {coeffs}")
         if args.closed_form and closed is not None:
-            report["closed_form"] = _gf_json(closed)
+            report["closed_form"] = closed.to_json()
             text.append(f"closed form: {closed!r}")
     if args.verify or coeffs is None:
         enum = monoid_orbit_enumerate(sol, order, _budget(args, DEFAULT_WORD_BUDGET))
@@ -272,7 +265,7 @@ def cmd_defect_table(args) -> int:
         "series": result.truncated.to_json(),
     }
     if result.closed_form is not None:
-        report["defect_series"]["closed_form"] = _gf_json(result.closed_form)
+        report["defect_series"]["closed_form"] = result.closed_form.to_json()
         if result.polynomial_part is not None:
             report["defect_series"]["polynomial_part"] = result.polynomial_part.to_json()
         if result.tail_numerator is not None:
@@ -502,6 +495,8 @@ def main(argv=None) -> int:
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
+        if args.format == "csv" and args.fn is not cmd_defect_table:
+            raise UsageError("--format csv is supported by defect-table only")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

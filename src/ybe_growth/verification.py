@@ -419,7 +419,7 @@ def check_fts_embedding() -> CriterionResult:
         pair_of = dict(enumerate(sol.labels))
         enum = monoid_orbit_enumerate(sol, 7)
         group = make_symmetric_group(d)
-        perms = group.permutations
+        perms = [Permutation(p) for p in group.images.tolist()]
         for n in range(1, 8):
             full_reps = [
                 rep

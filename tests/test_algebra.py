@@ -25,11 +25,55 @@ from ybe_growth.algebra import (
     symmetric_transpositions,
     transposition_solution,
 )
+from ybe_growth.group_growth import as_full_conjugation_gf, is_commutator_length_one
 
 
 def _cyclic_group(n):
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroupTable(n, table=table, name=f"Z{n}")
+
+
+def _symmetric_reference(d):
+    """S_d as Permutation objects in the documented element order of
+    make_symmetric_group: that of itertools.permutations(range(d))."""
+    return [Permutation(p) for p in itertools.permutations(range(d))]
+
+
+def _element_orbits(group):
+    """Reference: the orbits {h x h^-1 : h in G}, one mul/inv at a time."""
+    seen, orbits = set(), []
+    for x in group.elements():
+        if x not in seen:
+            orbit = {group.mul(group.mul(h, x), group.inv(h)) for h in group.elements()}
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def _assert_classes(group, partition):
+    """The decomposition holds exactly the blocks of partition, the identity
+    class first and the rest ordered by (size, smallest element), with
+    class_of and inverse_class consistent with the classes."""
+    dec = group.conjugacy_classes()
+    assert sorted(dec.classes) == sorted(partition)
+    assert dec.classes[0] == (0,)
+    assert list(dec.classes[1:]) == sorted(dec.classes[1:], key=lambda c: (len(c), c[0]))
+    for i, members in enumerate(dec.classes):
+        assert all(dec.class_of[x] == i for x in members)
+        assert dec.inverse_class[i] == dec.class_of[group.inv(members[0])]
+
+
+def _commutator_length_two_group():
+    """Pairs (v, w), v in F_2^4 and w in F_2^6 indexed by the pairs i < j, at
+    index v + 16 w, with (v,w)(v',w') = (v+v', w+w'+beta(v,v')) and
+    beta(v,v')_ij = v_i v'_j.  The commutators are the bivectors v ^ v': the
+    35 nonzero decomposable ones of 63, and zero, while [G,G] holds all 64."""
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    beta = sum((bits[:, None, i] & bits[None, :, j]) << p for p, (i, j) in enumerate(pairs))
+    v, w = np.arange(1024) % 16, np.arange(1024) // 16
+    table = (v[:, None] ^ v) + 16 * (w[:, None] ^ w ^ beta[v[:, None], v])
+    return FiniteGroupTable(1024, table=table, name="F2^4.F2^6")
 
 
 def _swapped_cyclic_table(n):
@@ -108,23 +152,52 @@ class TestGroups:
         # abelian: D_1 = Z_2
         assert make_dihedral_group(1).commutator_subgroup() == (0,)
 
-    def test_cycle_type_classes_match_conjugation_orbits(self):
-        for d in (3, 4, 5, 6):
+    def test_symmetric_classes_are_cycle_types(self):
+        for d in range(1, 9):
+            by_type = {}
+            for x, p in enumerate(_symmetric_reference(d)):
+                by_type.setdefault(p.cycle_type(), []).append(x)
+            _assert_classes(make_symmetric_group(d), [tuple(c) for c in by_type.values()])
+
+    @pytest.mark.parametrize(
+        "group",
+        [make_dihedral_group(d) for d in range(1, 31)] + [_cyclic_group(n) for n in (5, 6)],
+        ids=lambda g: g.name,
+    )
+    def test_table_group_classes_are_element_orbits(self, group):
+        _assert_classes(group, _element_orbits(group))
+
+    def test_symmetric_labels(self):
+        for d in range(1, 8):
             group = make_symmetric_group(d)
-            table = np.array([group.row(a) for a in group.elements()])
-            plain = FiniteGroupTable(group.size, table=table)  # no cycle types
-            assert plain.conjugacy_classes() == group.conjugacy_classes()
+            labels = [p.label() for p in _symmetric_reference(d)]
+            assert [group.label(a) for a in group.elements()] == labels
+
+    def test_symmetric_transpositions(self):
+        for d in range(1, 9):
+            perms = _symmetric_reference(d)
+            expected = tuple(i for i, p in enumerate(perms) if p.transposition_length() == 1)
+            assert symmetric_transpositions(make_symmetric_group(d)) == expected
+            assert len(expected) == d * (d - 1) // 2
+
+    def test_table_and_images_are_exclusive(self):
+        images = np.array(list(itertools.permutations(range(3))))
+        table = make_symmetric_group(3).to_json()["mult"]
+        with pytest.raises(ValueError, match="exactly one"):
+            FiniteGroupTable(6, table=table, images=images)
+        with pytest.raises(ValueError, match="exactly one"):
+            FiniteGroupTable(6)
 
     def test_lazy_group_matches_dense_products(self):
         s7 = make_symmetric_group(7)
-        perms = s7.permutations
+        perms = _symmetric_reference(7)
         for a, b in [(1, 2), (100, 200), (3000, 44)]:
             assert perms[s7.mul(a, b)] == perms[a] * perms[b]
 
     def test_broadcast_products_match_permutation_products(self):
         rng = np.random.default_rng(3)
-        for group in (make_symmetric_group(4), make_symmetric_group(7)):
-            perms = group.permutations
+        for d in (4, 7):
+            group, perms = make_symmetric_group(d), _symmetric_reference(d)
             a = rng.integers(group.size, size=(5, 1))
             b = rng.integers(group.size, size=4)
             out = group.products(a, b)
@@ -139,6 +212,11 @@ class TestGroups:
         assert again.size == 8
         assert again.mul(1, 2) == group.mul(1, 2)
         assert [again.inv(a) for a in again.elements()] == [group.inv(a) for a in group.elements()]
+
+    def test_symmetric_json_round_trip_keeps_labels(self):
+        data = make_symmetric_group(4).to_json()
+        assert data["labels"] == [p.label() for p in _symmetric_reference(4)]
+        assert FiniteGroupTable.from_json(data).to_json() == data
 
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
@@ -217,7 +295,7 @@ class TestGroups:
 
     def test_bad_image_rows_rejected(self):
         s7 = make_symmetric_group(7)
-        images = np.array([p.images for p in s7.permutations])
+        images = np.array(list(itertools.permutations(range(7))))
         group = FiniteGroupTable(s7.size, images=images)
         assert [group.inv(a) for a in group.elements()] == [s7.inv(a) for a in s7.elements()]
         repeated = images.copy()
@@ -234,10 +312,9 @@ class TestGroups:
         with pytest.raises(ValueError, match="not a two-sided identity"):
             FiniteGroupTable(s7.size, images=np.roll(images, 1, axis=0))
         # S_6 inside S_7: permutations of 7 points, but not all of them
-        s6 = make_symmetric_group(6)
-        fixing = np.array([p.images + (6,) for p in s6.permutations])
+        fixing = np.array([p + (6,) for p in itertools.permutations(range(6))])
         with pytest.raises(ValueError, match="not the elements of S_7"):
-            FiniteGroupTable(s6.size, images=fixing)
+            FiniteGroupTable(len(fixing), images=fixing)
 
 
 class TestClassProducts:
@@ -263,7 +340,8 @@ class TestClassProducts:
         group = make_symmetric_group(4)
         dec = group.conjugacy_classes()
         table = class_product_table(group, dec)
-        by_type = {group.permutations[c[0]].cycle_type(): i for i, c in enumerate(dec.classes)}
+        perms = _symmetric_reference(4)
+        by_type = {perms[c[0]].cycle_type(): i for i, c in enumerate(dec.classes)}
         trans, four = by_type[(2, 1, 1)], by_type[(4,)]
         expected = (1 << by_type[(2, 2)]) | (1 << by_type[(3, 1)])
         assert table[trans][four] == expected
@@ -288,8 +366,8 @@ def _element_commutators(group):
 def _element_class_product_table(group, dec):
     """Reference: the classes meeting rep * C_j, one element product at a
     time (permutation products for symmetric groups)."""
-    perms = getattr(group, "permutations", None)
-    if perms is not None:
+    if group.images is not None:
+        perms = _symmetric_reference(group.images.shape[1])
         index = {p: i for i, p in enumerate(perms)}
         mul = lambda a, b: index[perms[a] * perms[b]]
     else:
@@ -327,6 +405,26 @@ class TestClassLevelAgainstElements:
     def test_class_product_table(self, group):
         dec = group.conjugacy_classes()
         assert class_product_table(group, dec) == _element_class_product_table(group, dec)
+
+
+class TestCommutatorLengthTwo:
+    """A group whose [G,G] holds elements that are not single commutators,
+    so the class algebra's [G,G] closure loop does real work."""
+
+    group = _commutator_length_two_group()
+
+    def test_classes(self):
+        assert self.group.conjugacy_classes().count == 184
+
+    def test_commutators_against_elements(self):
+        singles, closure = _element_commutators(self.group)
+        assert self.group.commutator_set() == singles and len(singles) == 36
+        assert self.group.commutator_subgroup() == closure and len(closure) == 64
+        assert not is_commutator_length_one(self.group)
+
+    def test_defect_formula_refused(self):
+        with pytest.raises(ValueError, match="not a single commutator"):
+            as_full_conjugation_gf(self.group, 2)
 
 
 class TestSolutions:

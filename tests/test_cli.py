@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -339,6 +340,24 @@ class TestDefectTable:
         )
         assert code == 0
         assert out.splitlines()[0] == "kbar,product_size,defect"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["group", "--solution", "permutations", "--d", "9"],
+            ["monoid", "--solution", "reflections", "--d", "3"],
+            ["egf"],
+            ["normal-form", "--word", "1,2", "--d", "3"],
+            ["invariants", "--word", "1,2", "--d", "3"],
+            ["verify"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_csv_refused_outside_defect_table(self, capsys, command):
+        # refused before any work: d = 9 would otherwise be its own usage error
+        code, out, err = run_cli(command + ["--format", "csv"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --format csv is supported by defect-table only\n"
 
 
 class TestOtherCommands:

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from ybe_growth.algebra import (
+    Permutation,
     dihedral_reflections,
     make_dihedral_group,
     make_symmetric_group,
@@ -140,9 +143,10 @@ class TestReflectionGroupSeries:
 
 
 def _class_index_by_cycle_type(group, cycle_type):
+    perms = list(itertools.permutations(range(group.images.shape[1])))
     dec = group.conjugacy_classes()
     for i, members in enumerate(dec.classes):
-        if group.permutations[members[0]].cycle_type() == cycle_type:
+        if Permutation(perms[members[0]]).cycle_type() == cycle_type:
             return i
     raise LookupError(cycle_type)
 

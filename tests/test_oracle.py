@@ -7,6 +7,7 @@ import pytest
 
 from ybe_growth.algebra import (
     FiniteGroupTable,
+    Permutation,
     QuandleSolution,
     dihedral_reflections,
     full_conjugation_solution,
@@ -272,7 +273,7 @@ def _table_ops(group):
 
 
 def _permutation_ops(group):
-    perms = group.permutations
+    perms = [Permutation(p) for p in itertools.permutations(range(group.images.shape[1]))]
     index = {p.images: i for i, p in enumerate(perms)}
     return (
         lambda a, b: index[(perms[a] * perms[b]).images],
