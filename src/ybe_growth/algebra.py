@@ -26,6 +26,24 @@ DENSE_LIMIT = 2100
 MAX_SOLUTION_SIZE = 512
 
 
+def cycle_label(images: Sequence[int]) -> str:
+    """Cycle notation of the permutation i -> images[i] of {0..d-1}: points
+    written 1-based, cycles in order of their smallest point, fixed points
+    left out, and "e" for the identity."""
+    seen = [False] * len(images)
+    parts = []
+    for start, x in enumerate(images):
+        if x == start or seen[start]:
+            continue
+        cycle = [str(start + 1)]
+        while x != start:
+            seen[x] = True
+            cycle.append(str(x + 1))
+            x = images[x]
+        parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts) or "e"
+
+
 class Permutation:
     """Permutation of {0..d-1}; composition applies the right factor first."""
 
@@ -88,10 +106,7 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
 
     def label(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "e"
-        return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cyc)
+        return cycle_label(self.images)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -199,7 +214,7 @@ class FiniteGroupTable:
         if self.labels is not None:
             return self.labels[a]
         if self.images is not None:
-            return Permutation(self.images[a].tolist()).label()
+            return cycle_label(self.images[a].tolist())
         return str(a)
 
     # -- construction helpers ----------------------------------------------
@@ -378,9 +393,18 @@ class ClassAlgebra:
     [a, b] = a (b a^-1 b^-1) over all b form a C_i^-1, so the single
     commutators are the union of the products C_i C_i^-1, and [G,G] is that
     mask closed under mask products.
+
+    `mask_times_class` and `mask_size` are memoised in one dict each, keyed
+    by (mask, class) and by mask.  The memo lives as long as the algebra, so
+    every caller on one group (power chains, the [G,G] closure, the defect
+    recursion and its truncated check, defect measures and the defect-table
+    listing) shares it; the walks meet few distinct masks but multiply them
+    many times.
     """
 
     def __init__(self, group: FiniteGroupTable):
+        self._products: dict[tuple[int, int], int] = {}
+        self._sizes: dict[int, int] = {}
         self.dec = group.conjugacy_classes()
         self.table = class_product_table(group, self.dec)
         self.count = self.dec.count
@@ -400,14 +424,13 @@ class ClassAlgebra:
         self.commutator_size = self.mask_size(closed)
 
     def mask_times_class(self, mask: int, cls: int) -> int:
-        out = 0
-        row = self.table
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= row[i][cls]
-            mask >>= 1
-            i += 1
+        key = (mask, cls)
+        out = self._products.get(key)
+        if out is None:
+            out = 0
+            for i in _bits(mask):
+                out |= self.table[i][cls]
+            self._products[key] = out
         return out
 
     def mask_product(self, left: int, right: int) -> int:
@@ -417,13 +440,10 @@ class ClassAlgebra:
         return out
 
     def mask_size(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.sizes[i]
-            mask >>= 1
-            i += 1
+        total = self._sizes.get(mask)
+        if total is None:
+            total = sum(self.sizes[i] for i in _bits(mask))
+            self._sizes[mask] = total
         return total
 
     def members(self, mask: int) -> list[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -248,7 +247,8 @@ def cmd_defect_table(args) -> int:
         raise UsageError("defect-table supports permutations or dihedral")
     algebra = group.class_algebra()
     dec, table = algebra.dec, algebra.table
-    result = defect_series(group, order, _budget(args, DEFAULT_DEFECT_BUDGET))
+    budget = _budget(args, DEFAULT_DEFECT_BUDGET)
+    result = defect_series(group, order, budget)
     report = _base_report(args, "defect-table")
     classes = [
         {"index": i, "size": len(c), "members": [group.label(x) for x in c]}
@@ -274,7 +274,7 @@ def cmd_defect_table(args) -> int:
             )
     if result.diagnostic:
         report["defect_series"]["diagnostic"] = result.diagnostic
-    nonzero = _nonzero_defects(algebra, order)
+    nonzero = _nonzero_defects(algebra, order, budget)
     report["nonzero_defects"] = nonzero
     csv_rows = [["kbar", "product_size", "defect"]] + [
         [" ".join(map(str, row["kbar"])), row["product_size"], row["defect"]] for row in nonzero
@@ -291,33 +291,47 @@ def cmd_defect_table(args) -> int:
     return 0
 
 
-def _nonzero_defects(algebra, order) -> list[dict]:
+def _nonzero_defects(algebra, order: int, state_budget: int) -> list[dict]:
     """Rows of every non-negative exponent vector with |kbar| <= order and a
-    nonzero defect; the walk carries the product mask, so each step is one
-    mask-times-class product.  The walk meets few distinct masks, so mask
-    sizes and products are memoised for its duration."""
-    out = []
-    mask_size = functools.cache(algebra.mask_size)
-    mask_times_class = functools.cache(algebra.mask_times_class)
+    nonzero defect.  The walk carries the product mask, so each step is one
+    (memoised) mask-times-class product.
 
-    def rec(i: int, kbar: list[int], used: int, mask: int):
+    A branch ends as soon as its mask is saturated, that is, holds
+    |[G,G]| elements.  G/[G,G] is abelian, so each class lies in one coset
+    of [G,G], and so does every product of classes; a product of full size
+    is therefore the whole coset, and a whole coset times any class is again
+    a whole coset.  Every extension of a saturated mask, the larger powers
+    of the current class included, has defect 0 and lists no row.
+
+    Each walk node is charged to state_budget * 10, the allowance the
+    defect series gives its truncated self-check; past it the listing
+    raises BudgetExceededError.
+    """
+    out: list[dict] = []
+    kbar: list[int] = []
+    target, limit = algebra.commutator_size, state_budget * 10
+    nodes = 0
+
+    def rec(i: int, used: int, mask: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError(f"defect listing exceeded {limit} walk nodes")
         if i == algebra.count:
-            size = mask_size(mask)
-            if size != algebra.commutator_size:
-                out.append(
-                    {
-                        "kbar": list(kbar),
-                        "product_size": size,
-                        "defect": algebra.commutator_size - size,
-                    }
-                )
+            size = algebra.mask_size(mask)
+            out.append({"kbar": list(kbar), "product_size": size, "defect": target - size})
             return
         for k in range(order - used + 1):
             if k:
-                mask = mask_times_class(mask, i)
-            rec(i + 1, kbar + [k], used + k, mask)
+                mask = algebra.mask_times_class(mask, i)
+            if algebra.mask_size(mask) == target:
+                return
+            kbar.append(k)
+            rec(i + 1, used + k, mask)
+            kbar.pop()
 
-    rec(1, [], 0, 1)
+    if algebra.mask_size(1) != target:
+        rec(1, 0, 1)
     out.sort(key=lambda row: (sum(row["kbar"]), row["kbar"]))
     return out
 

@@ -4,7 +4,7 @@ engine for full conjugation solutions.
 
 The defect engine works with class-index bitmasks throughout: the group's
 cached ClassAlgebra holds the pairwise class product table, after which a
-product of conjugacy classes is an O(c) bitmask fold.
+product of conjugacy classes is an O(c) bitmask fold, memoised on the algebra.
 """
 
 from __future__ import annotations

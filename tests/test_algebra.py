@@ -168,10 +168,15 @@ class TestGroups:
         _assert_classes(group, _element_orbits(group))
 
     def test_symmetric_labels(self):
-        for d in range(1, 8):
-            group = make_symmetric_group(d)
-            labels = [p.label() for p in _symmetric_reference(d)]
+        # cycle notation rebuilt from Permutation.cycles, 1-based, "e" for the identity
+        for d in range(1, 9):
+            group, perms = make_symmetric_group(d), _symmetric_reference(d)
+            labels = [
+                "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in p.cycles()) or "e"
+                for p in perms
+            ]
             assert [group.label(a) for a in group.elements()] == labels
+            assert [p.label() for p in perms] == labels
 
     def test_symmetric_transpositions(self):
         for d in range(1, 9):

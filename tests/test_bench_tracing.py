@@ -1,11 +1,15 @@
-"""The benchmark's tracing targets must name live code.
+"""The benchmark's tracing targets must name live code, and its reference
+reports must match the library's output.
 
 `bench/tracing.py` wraps functions by "module:qualname" and names one span
 metric per verify criterion; a rename in `src/` that it does not follow
-would surface only in a traced benchmark run.  The bench modules are
+would surface only in a traced benchmark run.  Likewise the `conjugation`
+workload compares each report's SHA-256 with `bench/reference/expected.json`,
+so a report whose bytes change fails here first.  The bench modules are
 imported read-only: no bytecode is written under `bench/`.
 """
 
+import hashlib
 import importlib
 import sys
 from pathlib import Path
@@ -13,20 +17,30 @@ from pathlib import Path
 import pytest
 
 from ybe_growth import verification
+from ybe_growth.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _import_bench(name):
     sys.path.insert(0, str(BENCH))
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _import_bench("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _import_bench("workloads")
 
 
 def test_every_target_resolves(tracing):
@@ -39,3 +53,12 @@ def test_every_target_resolves(tracing):
 def test_criterion_ids_match_verification(tracing):
     # tracing.CRITERIA is the tuple bench/workloads.py declares
     assert tracing.CRITERIA == tuple(cid for cid, _ in verification.CRITERIA)
+
+
+def test_conjugation_reports_match_reference(workloads, capsys):
+    digests = workloads._expected()["reports_sha256"]
+    assert sorted(digests) == sorted(slug for slug, _ in workloads.CONJUGATION)
+    for slug, command in workloads.CONJUGATION:
+        assert main(list(workloads._argv(command))) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[slug], slug

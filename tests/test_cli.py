@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import subprocess
 import sys
@@ -9,8 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ybe_growth
-from ybe_growth.algebra import MAX_SOLUTION_SIZE
-from ybe_growth.cli import main
+from test_algebra import _commutator_length_two_group, _cyclic_group
+from ybe_growth.algebra import MAX_SOLUTION_SIZE, make_dihedral_group, make_symmetric_group
+from ybe_growth.cli import _nonzero_defects, main
+from ybe_growth.group_growth import DEFAULT_DEFECT_BUDGET
+from ybe_growth.oracle import BudgetExceededError
 
 
 def run_cli(args, capsys):
@@ -358,6 +362,140 @@ class TestDefectTable:
         code, out, err = run_cli(command + ["--format", "csv"], capsys)
         assert code == 2 and out == ""
         assert err == "error: --format csv is supported by defect-table only\n"
+
+    def test_listing_budget(self, capsys):
+        # D30 at order 6: the closed-form extraction falls back to the
+        # truncated check at these budgets, and the listing walks 138,989
+        # nodes against an allowance of ten per budgeted state
+        args = ["defect-table", "--solution", "dihedral", "--d", "30", "--format", "json"]
+        for budget in (10000, 13898):
+            code, out, err = run_cli(args + ["--budget-states", str(budget)], capsys)
+            assert code == 3 and out == ""
+            assert err == f"budget exceeded: defect listing exceeded {budget * 10} walk nodes\n"
+        code, out, _ = run_cli(args + ["--budget-states", "13899"], capsys)
+        assert code == 0 and len(json.loads(out)["nonzero_defects"]) == 25177
+
+    def test_s7_walk_size(self):
+        # 807 walk nodes for 141 rows, where the unpruned walk makes 116,280
+        algebra = make_symmetric_group(7).class_algebra()
+        with pytest.raises(BudgetExceededError):
+            _nonzero_defects(algebra, 6, 80)
+        assert len(_nonzero_defects(algebra, 6, 81)) == 141
+
+
+def _reference_walk(algebra, order):
+    """Reference listing: every kbar with |kbar| <= order, unpruned, each
+    visited once as its support grows class by class, and each product ORed
+    from the class product table with no memo."""
+    rows, kbar = [], [0] * (algebra.count - 1)
+
+    def rec(start, used, mask):
+        size = sum(algebra.sizes[j] for j in _set_bits(mask))
+        if size != algebra.commutator_size:
+            rows.append({"kbar": list(kbar), "product_size": size,
+                         "defect": algebra.commutator_size - size})
+        for i in range(start, algebra.count):
+            power = mask
+            for k in range(1, order - used + 1):
+                power = _fresh_product(algebra, power, i)
+                kbar[i - 1] = k
+                rec(i + 1, used + k, power)
+            kbar[i - 1] = 0
+
+    rec(1, 0, 1)
+    rows.sort(key=lambda row: (sum(row["kbar"]), row["kbar"]))
+    return rows
+
+
+def _set_bits(mask):
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def _fresh_product(algebra, mask, cls):
+    out = 0
+    for j in _set_bits(mask):
+        out |= algebra.table[j][cls]
+    return out
+
+
+# (id, group maker, the listing orders checked against the reference)
+WALK_GROUPS = (
+    [(f"S{d}", lambda d=d: make_symmetric_group(d), range(7)) for d in range(1, 8)]
+    + [(f"D{d}", lambda d=d: make_dihedral_group(d), range(7)) for d in range(1, 31)]
+    + [(f"Z{n}", lambda n=n: _cyclic_group(n), range(7)) for n in (5, 6)]
+    + [("F2^4.F2^6", _commutator_length_two_group, (2,))]
+)
+
+
+@pytest.fixture(scope="module", params=WALK_GROUPS, ids=[name for name, _, _ in WALK_GROUPS])
+def walked(request):
+    """A fresh group's class algebra and its listing at every checked order."""
+    _, make, orders = request.param
+    algebra = make().class_algebra()
+    listings = {order: _nonzero_defects(algebra, order, DEFAULT_DEFECT_BUDGET) for order in orders}
+    return algebra, listings
+
+
+class TestDefectWalk:
+    def test_matches_unpruned_reference(self, walked):
+        algebra, listings = walked
+        reference = _reference_walk(algebra, max(listings))
+        for order, listing in listings.items():
+            assert listing == [row for row in reference if sum(row["kbar"]) <= order]
+
+    def test_memo_matches_fresh_products(self, walked):
+        algebra, _ = walked
+        assert algebra._products
+        for (mask, cls), product in algebra._products.items():
+            assert product == _fresh_product(algebra, mask, cls)
+        for mask, size in algebra._sizes.items():
+            assert size == sum(algebra.sizes[j] for j in _set_bits(mask))
+
+    def test_saturated_masks_stay_saturated(self, walked):
+        # a whole coset of [G,G] times a class is a whole coset
+        algebra, _ = walked
+        full = algebra.commutator_size
+        reached = set(algebra._products.values()) | {mask for mask, _ in algebra._products}
+        for mask in reached:
+            if algebra.mask_size(mask) == full:
+                for cls in range(algebra.count):
+                    assert algebra.mask_size(_fresh_product(algebra, mask, cls)) == full
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_symmetric_group(3), lambda: make_symmetric_group(4),
+         lambda: make_dihedral_group(4), lambda: make_dihedral_group(5),
+         lambda: _cyclic_group(6)],
+        ids=["S3", "S4", "D4", "D5", "Z6"],
+    )
+    def test_masks_match_element_products(self, make):
+        group = make()
+        algebra = group.class_algebra()
+        classes = [set(c) for c in algebra.dec.classes]
+
+        def met(elements):
+            return sum(1 << cls for cls in {algebra.dec.class_of[x] for x in elements})
+
+        rows = _nonzero_defects(algebra, 4, DEFAULT_DEFECT_BUDGET)
+        for (mask, cls), product in algebra._products.items():
+            members = algebra.members(mask)
+            assert product == met(group.mul(x, y) for x in members for y in classes[cls])
+        expected = {}
+        for kbar in itertools.product(range(5), repeat=algebra.count - 1):
+            if sum(kbar) > 4:
+                continue
+            elements = {0}
+            for cls, k in enumerate(kbar, 1):
+                for _ in range(k):
+                    elements = {group.mul(x, y) for x in elements for y in classes[cls]}
+            if len(elements) != algebra.commutator_size:
+                expected[kbar] = len(elements)
+        assert {tuple(row["kbar"]): row["product_size"] for row in rows} == expected
 
 
 class TestOtherCommands:
