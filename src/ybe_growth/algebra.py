@@ -590,8 +590,9 @@ class QuandleSolution:
 
     @classmethod
     def from_json(cls, data) -> "QuandleSolution":
-        """Build from {"op": [[...]], "labels": [...]}; malformed data raises
-        ValueError with a one-line reason."""
+        """Build from {"size": n, "op": [[...]], "labels": [...]}, where
+        "size" and "labels" are optional; malformed data, or a size that is
+        not the table's, raises ValueError with a one-line reason."""
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict) or "op" not in data:
@@ -603,6 +604,11 @@ class QuandleSolution:
             raise ValueError('"op" entries must be integers')
         if labels is not None and not isinstance(labels, list):
             raise ValueError('"labels" must be a list')
+        size = data.get("size", len(op))
+        if type(size) is not int:
+            raise ValueError('"size" must be an integer')
+        if size != len(op):
+            raise ValueError(f'"size" is {size} but "op" has {len(op)} rows')
         return cls(op, labels=labels)
 
     def __repr__(self):

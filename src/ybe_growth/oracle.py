@@ -10,13 +10,18 @@ move at the last position, and are numbered by their minimal encoded word.
 The ball BFS and the window closure run through one level-synchronous
 traversal, `_bfs_levels`: both move sets are closed under inverses, so a new
 level is deduplicated against the two before it only.  Where a code would
-overflow int64, states are rows instead, deduplicated row-wise.
+overflow int64, states are rows instead, deduplicated row-wise.  The window
+closure stays in that form: it returns a `WindowOrbit`, a read-only set view
+whose length and membership are read off the sorted codes (or rows), and
+which decodes words to tuples only when iterated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -160,11 +165,15 @@ class OrbitEnumeration:
     truncated: bool = False
 
     def orbit_id(self, word: Sequence[int]) -> tuple[int, int]:
-        """(length, orbit index) of a word; orbits are per-length."""
-        n = len(word)
+        """(length, orbit index) of a word; orbits are per-length.  Raises
+        ValueError for a word longer than the enumeration or with a letter
+        outside 0..size-1."""
+        n, size = len(word), self.solution.size
         if n > self.max_length:
             raise ValueError(f"length {n} beyond enumerated range {self.max_length}")
-        code = np.array(word, dtype=np.int64) @ _places([self.solution.size] * n)
+        if not all(a in range(size) for a in word):
+            raise ValueError(f"word {tuple(word)} has letters outside 0..{size - 1}")
+        code = np.array(word, dtype=np.int64) @ _places([size] * n)
         return n, int(self._labels[n][code])
 
     def same_orbit(self, w1: Sequence[int], w2: Sequence[int]) -> bool:
@@ -304,26 +313,73 @@ def full_conjugation_spheres(
 # -- orbits over the infinite reflection solution ------------------------------
 
 
-def reflection_orbit_closure(
-    word: Sequence[int], margin: int = 8, max_states: int = 500000
-) -> set[tuple[int, ...]]:
+_DECODE_CHUNK = 1 << 14  # codes decoded per step of a WindowOrbit iteration
+
+
+class WindowOrbit(Set):
+    """The words of a window orbit closure as a read-only set of tuples.
+
+    The words are held as one ascending array of their int64 codes (the
+    base-`width` code of each letter's offset from `lo`, with place values
+    `places`), or, where those codes would overflow int64, as lexsorted rows
+    of offsets.  `len` and membership never decode; iteration decodes tuples
+    chunk by chunk, in code order.  Set operations return plain sets.
+    """
+
+    __slots__ = ("lo", "width", "places", "length", "_states")
+
+    def __init__(self, states: np.ndarray, lo: int, width: int, places: np.ndarray, length: int):
+        self._states = states
+        self.lo, self.width, self.places, self.length = lo, width, places, length
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __contains__(self, word) -> bool:
+        # a word of the wrong length, with a letter outside the window or a
+        # letter that is not an integer is no member
+        try:
+            offsets = [operator.index(a) - self.lo for a in word]
+        except TypeError:
+            return False
+        if len(offsets) != self.length or not all(0 <= x < self.width for x in offsets):
+            return False
+        states = self._states
+        if states.ndim == 2:
+            return bool((states == offsets).all(axis=1).any())
+        code = sum(map(operator.mul, offsets, self.places.tolist()))
+        i = states.searchsorted(code)
+        return bool(i < len(states) and states[i] == code)
+
+    def __iter__(self):
+        # one int object per letter, shared by every decoded word
+        letters = np.arange(self.lo, self.lo + self.width).astype(object)
+        for i in range(0, len(self._states), _DECODE_CHUNK):
+            rows = _digit_rows(self._states[i : i + _DECODE_CHUNK], self.places, self.width)
+            yield from map(tuple, letters[rows].tolist())
+
+    @classmethod
+    def _from_iterable(cls, words) -> set:
+        return set(words)
+
+
+def reflection_orbit_closure(word: Sequence[int], margin: int = 8, max_states: int = 500000) -> WindowOrbit:
     """Braiding orbit of a word over the integers, restricted to the letter
-    window [min - margin, max + margin]; raises BudgetExceededError when it
-    has more than max_states words.  A word is the base-(window width) code of
-    its letters' offsets from the window's lower end, or the row of those
+    window [min - margin, max + margin], as a read-only `WindowOrbit` set of
+    letter tuples; raises BudgetExceededError when it has more than
+    max(max_states, 1) words.  A word is the base-(window width) code of its
+    letters' offsets from the window's lower end, or the row of those
     offsets where the code would overflow int64."""
     start = tuple(int(a) for a in word)
     n = len(start)
-    if n < 2:
-        return {start}
-    lo = min(start) - margin
-    width = max(start) + margin - lo + 1
+    lo = min(start, default=0) - margin
+    width = max(start, default=0) + margin - lo + 1
     places = _places([width] * n)
     units = places[:-1] + places[1:]  # adds one to the letters at pos, pos + 1
 
     def advance(states):
         rows = _digit_rows(states, places, width)
-        moved = []
+        moved = [states[:0]]  # words of fewer than two letters have no moves
         for pos in range(n - 1):
             x, y = rows[:, pos], rows[:, pos + 1]
             # (x, y) -> (2x - y, x) and its inverse (x, y) -> (y, 2y - x)
@@ -333,15 +389,13 @@ def reflection_orbit_closure(
                 moved.append(states[ok] + np.multiply.outer(shift[ok], units[pos]))
         return np.concatenate(moved)
 
-    # one int object per letter, shared by every decoded word
-    letters = np.arange(lo, lo + width).astype(object)
-    closure = set()
     first = (np.array(start, dtype=np.int64) - lo) @ places
     # a word is always in its own closure, whatever max_states
     levels = _bfs_levels(first[None], advance, max(max_states, 1), "reflection orbit closure")
-    for level in itertools.takewhile(len, levels):
-        closure.update(zip(*letters[_digit_rows(level, places, width).T].tolist()))
-    return closure
+    # the levels are disjoint, so one sort of all of them orders the orbit
+    states = np.concatenate(list(itertools.takewhile(len, levels)))
+    states = states[np.lexsort(states.T[::-1])] if states.ndim == 2 else np.sort(states)
+    return WindowOrbit(states, lo, width, places, n)
 
 
 def reflection_orbit_equal_infinite(
@@ -349,10 +403,11 @@ def reflection_orbit_equal_infinite(
 ) -> bool:
     """Window-limited orbit equality over the integers.
 
-    The orbit of the pair is closed inside a letter window which is doubled
-    until the two-orbit verdict has stabilised twice; stability is reported,
-    not proven (a connecting path could in principle need letters beyond the
-    widest window tried).
+    The orbit of w1 is closed with window margins m, 2m and 4m, for
+    m = margin + max |letter of w2|, stopping at the first closure that holds
+    w2.  True is exact: a path of moves was found.  False is not a proof: it
+    means only that no path stays inside the widest window, and a connecting
+    path could in principle need letters beyond it.
     """
     a, b = tuple(int(x) for x in w1), tuple(int(x) for x in w2)
     if len(a) != len(b):

@@ -5,12 +5,15 @@ reports must match the library's output.
 metric per verify criterion; a rename in `src/` that it does not follow
 would surface only in a traced benchmark run.  Likewise the `conjugation`
 workload compares each report's SHA-256 with `bench/reference/expected.json`,
-so a report whose bytes change fails here first.  The bench modules are
-imported read-only: no bytecode is written under `bench/`.
+and the `group-balls` window jobs check the closures' sizes and memberships,
+so a report whose bytes change, or a closure type the check cannot read,
+fails here first.  The bench modules are imported read-only: no bytecode is
+written under `bench/`.
 """
 
 import hashlib
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import pytest
 
 from ybe_growth import verification
 from ybe_growth.cli import main
+from ybe_growth.oracle import reflection_orbit_closure
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,3 +66,10 @@ def test_conjugation_reports_match_reference(workloads, capsys):
         assert main(list(workloads._argv(command))) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[slug], slug
+
+
+@pytest.mark.parametrize("length", ["3", "4", "5"])
+def test_window_closures_pass_the_window_check(workloads, length):
+    cases = [(tuple(json.loads(word)), states) for word, states in workloads._expected()["window"][length].items()]
+    closures = [reflection_orbit_closure(word, margin=workloads.WINDOW_MARGIN) for word, _ in cases]
+    assert workloads.check_window(cases)(closures) is None

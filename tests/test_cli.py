@@ -238,6 +238,15 @@ class TestMalformedCustomJson:
         path.write_text(json.dumps(json.dumps({"op": [[0]]})))
         _assert_input_error(*_custom_json(path, capsys))
 
+    @pytest.mark.parametrize("size", [5, "x", 2.0, True, None])
+    def test_size_disagrees_with_table(self, tmp_path, capsys, size):
+        # a valid 2-element table whose "size" is not the integer 2
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps({"size": size, "op": [[0, 1], [0, 1]]}))
+        code, out, err = _custom_json(path, capsys)
+        _assert_input_error(code, out, err)
+        assert '"size"' in err
+
     def test_null_entries(self, tmp_path, capsys):
         path = tmp_path / "sol.json"
         path.write_text(json.dumps({"op": [[0, None], [1, 1]]}))

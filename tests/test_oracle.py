@@ -3,6 +3,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ybe_growth.algebra import (
@@ -19,6 +20,7 @@ from ybe_growth.algebra import (
 )
 from ybe_growth.oracle import (
     BudgetExceededError,
+    WindowOrbit,
     conjugation_ball_generators,
     conjugation_ball_series,
     group_ball_enumerate,
@@ -55,6 +57,15 @@ class TestOrbitEnumeration:
             assert reps == sorted(reps)
             for rep in reps:
                 assert enum.same_orbit(rep, rep)
+
+    @pytest.mark.parametrize("word", [(0, 3), (0, -1), (3,), (1, 0.5)])
+    def test_letters_outside_the_solution_are_refused(self, word):
+        # (0, 3) used to share the code of (1, 0), and (0, -1) to wrap to (2, 2)
+        enum = monoid_orbit_enumerate(reflection_solution(3), 2)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            enum.orbit_id(word)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            enum.same_orbit(word[:1] * len(word), word)
 
     def test_orbit_counts_invariant_under_relabeling(self):
         # cyclic relabeling of R_d is a quandle automorphism
@@ -366,22 +377,85 @@ WINDOW_WORDS = json.loads(
 LONG_WORDS = [((0, 15) * 7 + (7, 8), 0), ((3,) * 20, 12)]
 
 
+def _no_iteration(self):
+    raise AssertionError("the closure was iterated")
+
+
+def _assert_view_matches(closure, ref, monkeypatch, stride=1):
+    """The view holds exactly the words of `ref`: its length, the membership
+    of every `stride`-th word of `ref` and of the words one letter step from
+    it (members or not) are read without iterating the view, and equality
+    holds in both directions."""
+    with monkeypatch.context() as m:
+        m.setattr(WindowOrbit, "__iter__", _no_iteration)
+        assert len(closure) == len(ref)
+        for word in itertools.islice(ref, 0, None, stride):
+            assert word in closure
+            for pos in range(len(word)):
+                for step in (-1, 1):
+                    near = word[:pos] + (word[pos] + step,) + word[pos + 1 :]
+                    assert (near in closure) == (near in ref), near
+    assert closure == ref and ref == closure
+
+
 class TestWindowClosureAgainstReference:
     @pytest.mark.parametrize("length", ["3", "4", "5"])
-    def test_recorded_window_words(self, length):
+    def test_recorded_window_words(self, length, monkeypatch):
         for text, size in WINDOW_WORDS[length].items():
             word = tuple(json.loads(text))
             closure = reflection_orbit_closure(word, margin=12)
-            assert len(closure) == size
-            assert closure == _reference_closure(word, 12)
+            assert isinstance(closure, WindowOrbit)
+            ref = _reference_closure(word, 12)
+            assert len(ref) == size
+            _assert_view_matches(closure, ref, monkeypatch, stride=len(ref) // 200 + 1)
 
-    def test_random_words(self):
+    def test_random_words(self, monkeypatch):
         rng = random.Random(29)
         for _ in range(300):
             n = rng.randint(0, 5)
             margin = rng.randint(0, 6 if n < 5 else 2)
             word = tuple(rng.randint(-4, 4) for _ in range(n))
-            assert reflection_orbit_closure(word, margin) == _reference_closure(word, margin)
+            closure, ref = reflection_orbit_closure(word, margin), _reference_closure(word, margin)
+            _assert_view_matches(closure, ref, monkeypatch, stride=len(ref) // 50 + 1)
+            # iteration decodes every word once, in code (= lexicographic) order
+            assert list(closure) == sorted(ref)
+
+    @pytest.mark.parametrize("word, margin", [((0, 2, 1), 3), ((1, -1, 1), 2), ((4, 4), 1), ((2,), 2)])
+    def test_every_word_of_the_window(self, word, margin):
+        # every non-member whose code is next to a member's code is covered
+        closure, ref = reflection_orbit_closure(word, margin), _reference_closure(word, margin)
+        window = range(min(word) - margin, max(word) + margin + 1)
+        for other in itertools.product(window, repeat=len(word)):
+            assert (other in closure) == (other in ref), other
+
+    @pytest.mark.parametrize("word, margin", [((0, 2, 1), 3), ((1, -1, 1), 2)] + LONG_WORDS)
+    def test_non_words_are_not_members(self, word, margin):
+        closure = reflection_orbit_closure(word, margin)
+        lo, hi = min(word) - margin, max(word) + margin
+        rest = word[1:]
+        assert word in closure and (np.int64(word[0]),) + rest in closure
+        # words of the wrong length
+        assert word[:-1] not in closure and word + word[:1] not in closure
+        # letters outside the window
+        assert (lo - 1,) + rest not in closure and word[:-1] + (hi + 1,) not in closure
+        assert (10**30,) + rest not in closure and (-(10**30),) + rest not in closure
+        # a word whose offsets from lo spell the code of `word`, with a carry
+        assert word[:-2] + (word[-2] - 1, word[-1] + hi - lo + 1) not in closure
+        # letters that are not integers, and queries that are not words
+        for letter in (float(word[0]), str(word[0]), None, (word[0],)):
+            assert (letter,) + rest not in closure
+        for query in (None, word[0], str(word), list(word)[:-1]):
+            assert query not in closure
+
+    def test_set_operations_return_plain_sets(self):
+        closure = reflection_orbit_closure((0, 2, 1), 3)
+        ref = _reference_closure((0, 2, 1), 3)
+        for result, expected in (
+            (closure & {(0, 2, 1), (9, 9, 9)}, {(0, 2, 1)}),
+            (closure | {(9, 9, 9)}, ref | {(9, 9, 9)}),
+            (closure - {(0, 2, 1)}, ref - {(0, 2, 1)}),
+        ):
+            assert type(result) is set and result == expected
 
     @pytest.mark.parametrize("word, margin", [((0, 2, 1), 3), ((1, -1, 1), 2), ((4, 4), 1)] + LONG_WORDS)
     def test_budget_edge(self, word, margin):
@@ -395,13 +469,17 @@ class TestWindowClosureAgainstReference:
             assert reflection_orbit_closure(word, margin, max_states=0) == {word}
 
     @pytest.mark.parametrize("word", [(), (0,), (-7,), (12,)])
-    def test_words_without_moves(self, word):
-        for margin in (0, 5):
-            assert reflection_orbit_closure(word, margin) == {word}
-            assert reflection_orbit_closure(word, margin, max_states=0) == {word}
+    def test_words_without_moves(self, word, monkeypatch):
+        for margin, max_states in itertools.product((0, 5), (500000, 0)):
+            closure = reflection_orbit_closure(word, margin, max_states)
+            _assert_view_matches(closure, {word}, monkeypatch)
+            assert list(closure) == [word]
+            for other in {word[:-1], word + (0,)} - {word}:
+                assert other not in closure
 
     @pytest.mark.parametrize("word, margin", LONG_WORDS)
-    def test_long_words_take_the_row_path(self, word, margin):
+    def test_long_words_take_the_row_path(self, word, margin, monkeypatch):
         width = max(word) - min(word) + 2 * margin + 1
         assert width ** len(word) >= 2**63
-        assert reflection_orbit_closure(word, margin) == _reference_closure(word, margin)
+        closure, ref = reflection_orbit_closure(word, margin), _reference_closure(word, margin)
+        _assert_view_matches(closure, ref, monkeypatch, stride=len(ref) // 100 + 1)
