@@ -5,7 +5,9 @@ Groups keep element 0 as the identity.  A group is given either by its
 multiplication table or, for S_d, by its image matrix (one row of images per
 permutation); image groups with n <= DENSE_LIMIT also build the table, larger
 ones multiply by gathering images.  Each group caches one ClassAlgebra: its
-classes, class product table and commutator masks.
+classes, class product table and commutator masks.  `SymmetricClasses` holds
+the ClassAlgebra of S_d computed from partitions and characters instead, with
+no group element, for d past the reach of the element tables.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -24,24 +27,37 @@ from .series import TruncatedSeries
 DENSE_LIMIT = 2100
 # largest quandle accepted: validation checks all n^3 triples
 MAX_SOLUTION_SIZE = 512
+# largest S_d built element by element (8! = 40,320 image rows)
+MAX_ELEMENTS_D = 8
+
+
+def _cycles(images: Sequence[int]) -> list[list[int]]:
+    """The cycles of length > 1 of the permutation i -> images[i], each
+    written from its smallest point, in order of that point."""
+    seen = [False] * len(images)
+    cycles = []
+    for start, x in enumerate(images):
+        if x == start or seen[start]:
+            continue
+        cycle = [start]
+        while x != start:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        cycles.append(cycle)
+    return cycles
+
+
+def _cycle_notation(cycles: list[list[int]], names: Sequence[str]) -> str:
+    """The cycles written with point x named names[x]; "e" if there are none."""
+    return "".join(["(" + " ".join(map(names.__getitem__, cycle)) + ")" for cycle in cycles]) or "e"
 
 
 def cycle_label(images: Sequence[int]) -> str:
     """Cycle notation of the permutation i -> images[i] of {0..d-1}: points
     written 1-based, cycles in order of their smallest point, fixed points
     left out, and "e" for the identity."""
-    seen = [False] * len(images)
-    parts = []
-    for start, x in enumerate(images):
-        if x == start or seen[start]:
-            continue
-        cycle = [str(start + 1)]
-        while x != start:
-            seen[x] = True
-            cycle.append(str(x + 1))
-            x = images[x]
-        parts.append("(" + " ".join(cycle) + ")")
-    return "".join(parts) or "e"
+    return _cycle_notation(_cycles(images), [str(x + 1) for x in range(len(images))])
 
 
 class Permutation:
@@ -313,8 +329,12 @@ class FiniteGroupTable:
     def class_algebra(self) -> "ClassAlgebra":
         """The group's class-level algebra, built on first use and cached."""
         if self._algebra is None:
-            self._algebra = ClassAlgebra(self)
+            self._algebra = ClassAlgebra.of_group(self)
         return self._algebra
+
+    def class_labels(self) -> list[list[str]]:
+        """The labels of the members of each class, in class order."""
+        return [[self.label(x) for x in c] for c in self.conjugacy_classes().classes]
 
     def commutator_subgroup(self) -> tuple[int, ...]:
         """[G,G], the closure of all commutators [a,b] under multiplication."""
@@ -340,8 +360,18 @@ class FiniteGroupTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroupTable":
+        """Build from {"size": n, "mult": [[...]], "labels": [...], "name": ...};
+        "size", "labels" and "name" are optional.  A size that is not an
+        integer or not the table's row count raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("mult"), list):
+            raise ValueError('group JSON must be an object with a "mult" table')
+        size = data.get("size", len(data["mult"]))
+        if type(size) is not int:
+            raise ValueError('"size" must be an integer')
+        if size != len(data["mult"]):
+            raise ValueError(f'"size" is {size} but "mult" has {len(data["mult"])} rows')
         return cls(
-            int(data["size"]),
+            size,
             table=np.asarray(data["mult"], dtype=np.int64),
             labels=data.get("labels"),
             name=data.get("name", "G"),
@@ -394,6 +424,11 @@ class ClassAlgebra:
     commutators are the union of the products C_i C_i^-1, and [G,G] is that
     mask closed under mask products.
 
+    Two constructors fill it: `of_group` reads the classes and the product
+    table off a group's elements, and `symmetric` computes those of S_d from
+    the partitions of d and the characters of S_d, with no group element.
+    `dec` (the classes as element lists) exists on the first route only.
+
     `mask_times_class` and `mask_size` are memoised in one dict each, keyed
     by (mask, class) and by mask.  The memo lives as long as the algebra, so
     every caller on one group (power chains, the [G,G] closure, the defect
@@ -402,14 +437,20 @@ class ClassAlgebra:
     many times.
     """
 
-    def __init__(self, group: FiniteGroupTable):
+    def __init__(
+        self,
+        table: list[list[int]],
+        sizes: Sequence[int],
+        inverse_class: Sequence[int],
+        dec: Optional[ConjugacyDecomposition] = None,
+    ):
         self._products: dict[tuple[int, int], int] = {}
         self._sizes: dict[int, int] = {}
-        self.dec = group.conjugacy_classes()
-        self.table = class_product_table(group, self.dec)
-        self.count = self.dec.count
-        self.sizes = self.dec.sizes
-        self.inverse_class = self.dec.inverse_class
+        self.dec = dec
+        self.table = table
+        self.count = len(sizes)
+        self.sizes = tuple(sizes)
+        self.inverse_class = tuple(inverse_class)
         self.self_inverse = all(self.inverse_class[i] == i for i in range(self.count))
         single = 0
         for i in range(self.count):
@@ -422,6 +463,38 @@ class ClassAlgebra:
             closed = grown
         self.commutator_mask = closed
         self.commutator_size = self.mask_size(closed)
+
+    @classmethod
+    def of_group(cls, group: FiniteGroupTable) -> "ClassAlgebra":
+        """The classes of a group's elements and their product table."""
+        dec = group.conjugacy_classes()
+        return cls(class_product_table(group, dec), dec.sizes, dec.inverse_class, dec)
+
+    @classmethod
+    def symmetric(cls, d: int) -> "ClassAlgebra":
+        """The class algebra of S_d from partitions: class k is the k-th cycle
+        type of `symmetric_cycle_types(d)`, of size d!/z_lambda, and C_k meets
+        C_i C_j exactly when sum_chi chi(i) chi(j) chi(k) / chi(1) != 0 (every
+        character of S_d is real and every class self-inverse, so the sum is
+        symmetric in i, j, k and is taken for i <= j <= k only).  The
+        characters come from the Murnaghan-Nakayama rule, in exact integers.
+        """
+        types = symmetric_cycle_types(d)
+        chars = _symmetric_characters(types)
+        # chi(1) divides d!, so the weights d!/chi(1) keep the sums integral
+        weights = [math.factorial(d) // degree for degree in chars[0]]
+        count = len(types)
+        table = [[0] * count for _ in range(count)]
+        for i in range(count):
+            weighted = list(map(operator.mul, weights, chars[i]))
+            for j in range(i, count):
+                pair = list(map(operator.mul, weighted, chars[j]))
+                for k in range(j, count):
+                    if sum(map(operator.mul, pair, chars[k])):
+                        for x, y, z in itertools.permutations((i, j, k)):
+                            table[x][y] |= 1 << z
+        sizes = [_class_size(lam) for lam in types]
+        return cls(table, sizes, range(count))
 
     def mask_times_class(self, mask: int, cls: int) -> int:
         key = (mask, cls)
@@ -495,8 +568,8 @@ def make_symmetric_group(d: int) -> FiniteGroupTable:
     """S_d as its image matrix: element k is the k-th tuple of
     itertools.permutations(range(d)), so elements are sorted by image tuple
     and the identity comes first."""
-    if not 1 <= d <= 8:
-        raise ValueError("symmetric group supported for 1 <= d <= 8")
+    if not 1 <= d <= MAX_ELEMENTS_D:
+        raise ValueError(f"symmetric group supported for 1 <= d <= {MAX_ELEMENTS_D}")
     images = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
     return FiniteGroupTable(len(images), images=images, name=f"S{d}")
 
@@ -506,6 +579,111 @@ def symmetric_transpositions(group: FiniteGroupTable) -> tuple[int, ...]:
     two points."""
     moved = (group.images != np.arange(group.images.shape[1])).sum(axis=1)
     return tuple(np.flatnonzero(moved == 2).tolist())
+
+
+# -- S_d from partitions --------------------------------------------------------
+
+
+def _class_size(lam: tuple[int, ...]) -> int:
+    """d!/z_lambda, the number of permutations of cycle type lam."""
+    z = 1
+    for part, mult in _multiplicities(lam).items():
+        z *= part**mult * math.factorial(mult)
+    return math.factorial(sum(lam)) // z
+
+
+def _smallest_images(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The smallest image tuple of cycle type lam: its cycles on consecutive
+    points, shortest first, each as (a a+1 ... b).  Choosing each image as
+    small as possible, point by point, closes the open cycle as soon as the
+    parts left allow it, and otherwise extends it by the next free point."""
+    images: list[int] = []
+    for part in sorted(lam):
+        start = len(images)
+        images.extend(range(start + 1, start + part))
+        images.append(start)
+    return tuple(images)
+
+
+def symmetric_cycle_types(d: int) -> list[tuple[int, ...]]:
+    """The cycle types of S_d, as descending partitions of d, in the class
+    order of `make_symmetric_group(d)`: the identity first, then by (class
+    size, smallest image tuple of the type)."""
+    if d < 1:
+        raise ValueError("symmetric group needs d >= 1")
+    identity, *rest = reversed(list(integer_partitions(d)))
+    return [identity] + sorted(rest, key=lambda lam: (_class_size(lam), _smallest_images(lam)))
+
+
+def _symmetric_characters(types: list[tuple[int, ...]]) -> list[list[int]]:
+    """chars[k][m]: the irreducible character of S_d indexed by the m-th
+    partition of `types` at the k-th cycle type, by the Murnaghan-Nakayama
+    rule on beta-sets, memoised over (beta-set, cycles left).
+
+    A partition mu is the beta-set of d beads at mu_i + d - 1 - i, an int
+    bitmask.  Removing a rim hook of length r moves one bead from b to an
+    empty b - r, with sign (-1)^(beads strictly between); a cycle type's
+    parts are removed largest first."""
+    d = sum(types[0])
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def chi(beads: int, cycles: tuple[int, ...]) -> int:
+        if not cycles:
+            return 1
+        key = (beads, cycles)
+        value = memo.get(key)
+        if value is None:
+            r, rest = cycles[0], cycles[1:]
+            value = 0
+            movable = beads & ~(beads << r) & ~((1 << r) - 1)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                b = low.bit_length() - 1
+                between = (beads >> (b - r + 1) & ((1 << (r - 1)) - 1)).bit_count()
+                term = chi(beads ^ low ^ (1 << (b - r)), rest)
+                value += -term if between & 1 else term
+            memo[key] = value
+        return value
+
+    betas = [
+        sum(1 << (part + d - 1 - i) for i, part in enumerate(mu + (0,) * (d - len(mu))))
+        for mu in types
+    ]
+    return [[chi(beads, lam) for beads in betas] for lam in types]
+
+
+class SymmetricClasses:
+    """S_d through its conjugacy classes alone, for any d >= 1: the `name`
+    and the cached `class_algebra()` that the defect engine reads, built by
+    `ClassAlgebra.symmetric` with no group element.  Class k holds the
+    permutations of cycle type `cycle_types[k]`.  `make_symmetric_group`
+    builds the elements instead; its class algebra is equal, in the same
+    class order, for every d it supports."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.name = f"S{d}"
+        self.cycle_types = symmetric_cycle_types(d)
+        self._algebra: Optional[ClassAlgebra] = None
+
+    def class_algebra(self) -> ClassAlgebra:
+        if self._algebra is None:
+            self._algebra = ClassAlgebra.symmetric(self.d)
+        return self._algebra
+
+    def class_labels(self) -> list[list[str]]:
+        """The cycle notation of the members of each class, each class in
+        the order of its members' image tuples (that of their indices in
+        `make_symmetric_group`): one pass over all d! permutations."""
+        names = [str(x + 1) for x in range(self.d)]
+        # a cycle type is known by its parts > 1, ascending
+        index = {tuple(sorted(p for p in lam if p > 1)): k for k, lam in enumerate(self.cycle_types)}
+        labels: list[list[str]] = [[] for _ in self.cycle_types]
+        for images in itertools.permutations(range(self.d)):
+            cycles = _cycles(images)
+            labels[index[tuple(sorted(map(len, cycles)))]].append(_cycle_notation(cycles, names))
+        return labels
 
 
 def make_dihedral_group(d: int) -> FiniteGroupTable:

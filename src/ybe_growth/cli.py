@@ -19,7 +19,9 @@ import time
 
 from . import __version__
 from .algebra import (
+    MAX_ELEMENTS_D,
     QuandleSolution,
+    SymmetricClasses,
     make_dihedral_group,
     make_symmetric_group,
     dihedral_reflections,
@@ -56,6 +58,10 @@ from .transposition_monoid import (
 )
 from .verification import run_criteria
 
+# largest S_d of `group --solution permutations`, whose class algebra comes
+# from partitions: S_12 (77 classes) takes about 6 s at order 4, most of it in
+# the defect recursion
+MAX_PERMUTATIONS_D = 12
 GROUP_FAMILIES = ("transpositions", "permutations", "reflections", "dihedral")
 MONOID_FAMILIES = ("transpositions", "reflections", "custom-json")
 
@@ -111,6 +117,10 @@ def cmd_group(args) -> int:
     family, d, order = args.solution, args.d, args.order
     report = _base_report(args, "group")
     text = [f"growth series of the structure group ({family}, d={d})"]
+    if family == "permutations" and not 1 <= d <= MAX_PERMUTATIONS_D:
+        raise UsageError(f"permutations supported for 1 <= d <= {MAX_PERMUTATIONS_D}")
+    if args.verify and family in ("transpositions", "permutations") and d > MAX_ELEMENTS_D:
+        raise UsageError(f"--verify on {family} supported for d <= {MAX_ELEMENTS_D}")
     closed = None
     if family == "transpositions":
         if d < 2:
@@ -134,9 +144,7 @@ def cmd_group(args) -> int:
             )
     else:
         if family == "permutations":
-            if not 1 <= d <= 8:
-                raise UsageError("permutations supported for 1 <= d <= 8")
-            group = make_symmetric_group(d)
+            group = SymmetricClasses(d)
         else:
             group = make_dihedral_group(d)
         result = as_full_conjugation_gf(group, order)
@@ -152,6 +160,8 @@ def cmd_group(args) -> int:
             report["defect"]["diagnostic"] = result.defect.diagnostic
             text.append(f"warning: {result.defect.diagnostic}")
         if args.verify:
+            if family == "permutations":
+                group = make_symmetric_group(d)
             oracle = full_conjugation_spheres(group, order, _budget(args))
     coeffs = expansion.integer_coefficients()
     report["expansion"] = {"order": order, "coefficients": coeffs}
@@ -238,25 +248,26 @@ def cmd_monoid(args) -> int:
 def cmd_defect_table(args) -> int:
     family, d, order = args.solution, args.d, args.order
     if family == "permutations":
-        if not 1 <= d <= 8:
-            raise UsageError("permutations supported for 1 <= d <= 8")
-        group = make_symmetric_group(d)
+        # the report lists every element
+        if not 1 <= d <= MAX_ELEMENTS_D:
+            raise UsageError(f"permutations supported for 1 <= d <= {MAX_ELEMENTS_D}")
+        group = SymmetricClasses(d)
     elif family == "dihedral":
         group = make_dihedral_group(d)
     else:
         raise UsageError("defect-table supports permutations or dihedral")
     algebra = group.class_algebra()
-    dec, table = algebra.dec, algebra.table
+    count, table = algebra.count, algebra.table
     budget = _budget(args, DEFAULT_DEFECT_BUDGET)
     result = defect_series(group, order, budget)
     report = _base_report(args, "defect-table")
     classes = [
-        {"index": i, "size": len(c), "members": [group.label(x) for x in c]}
-        for i, c in enumerate(dec.classes)
+        {"index": i, "size": len(members), "members": members}
+        for i, members in enumerate(group.class_labels())
     ]
     mult_table = [
-        [sorted(j for j in range(dec.count) if table[a][b] >> j & 1) for b in range(dec.count)]
-        for a in range(dec.count)
+        [sorted(j for j in range(count) if table[a][b] >> j & 1) for b in range(count)]
+        for a in range(count)
     ]
     report["classes"] = classes
     report["class_product_table"] = mult_table

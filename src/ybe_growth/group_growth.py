@@ -5,6 +5,8 @@ engine for full conjugation solutions.
 The defect engine works with class-index bitmasks throughout: the group's
 cached ClassAlgebra holds the pairwise class product table, after which a
 product of conjugacy classes is an O(c) bitmask fold, memoised on the algebra.
+The engine reads only `group.class_algebra()` and `group.name`, so it takes a
+`FiniteGroupTable` or S_d as `SymmetricClasses` alike.
 """
 
 from __future__ import annotations

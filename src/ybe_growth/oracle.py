@@ -18,6 +18,7 @@ which decodes words to tuples only when iterated.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -152,6 +153,11 @@ def _orbit_labels(
     return new_labels, len(firsts), mins[firsts // base] * base + firsts % base
 
 
+def _check_letters(word: Sequence[int], size: int) -> None:
+    if not all(a in range(size) for a in word):
+        raise ValueError(f"word {tuple(word)} has letters outside 0..{size - 1}")
+
+
 @dataclass
 class OrbitEnumeration:
     """Orbit counts and canonical representatives of words per length."""
@@ -171,8 +177,7 @@ class OrbitEnumeration:
         n, size = len(word), self.solution.size
         if n > self.max_length:
             raise ValueError(f"length {n} beyond enumerated range {self.max_length}")
-        if not all(a in range(size) for a in word):
-            raise ValueError(f"word {tuple(word)} has letters outside 0..{size - 1}")
+        _check_letters(word, size)
         code = np.array(word, dtype=np.int64) @ _places([size] * n)
         return n, int(self._labels[n][code])
 
@@ -216,7 +221,10 @@ def orbit_equal(
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> bool:
     """Whether two words are related by braiding moves (always false across
-    different lengths, since moves preserve length)."""
+    different lengths, since moves preserve length).  Raises ValueError for a
+    letter outside 0..size-1, whatever the words."""
+    _check_letters(w1, sol.size)
+    _check_letters(w2, sol.size)
     if len(w1) != len(w2):
         return False
     if tuple(w1) == tuple(w2):
@@ -322,8 +330,9 @@ class WindowOrbit(Set):
     The words are held as one ascending array of their int64 codes (the
     base-`width` code of each letter's offset from `lo`, with place values
     `places`), or, where those codes would overflow int64, as lexsorted rows
-    of offsets.  `len` and membership never decode; iteration decodes tuples
-    chunk by chunk, in code order.  Set operations return plain sets.
+    of offsets.  `len` and membership never decode (membership binary-searches
+    the codes or the rows); iteration decodes tuples chunk by chunk, in code
+    order.  Set operations return plain sets.
     """
 
     __slots__ = ("lo", "width", "places", "length", "_states")
@@ -345,8 +354,9 @@ class WindowOrbit(Set):
         if len(offsets) != self.length or not all(0 <= x < self.width for x in offsets):
             return False
         states = self._states
-        if states.ndim == 2:
-            return bool((states == offsets).all(axis=1).any())
+        if states.ndim == 2:  # lexsorted rows: list order is row order
+            i = bisect.bisect_left(states, offsets, key=np.ndarray.tolist)
+            return i < len(states) and states[i].tolist() == offsets
         code = sum(map(operator.mul, offsets, self.places.tolist()))
         i = states.searchsorted(code)
         return bool(i < len(states) and states[i] == code)

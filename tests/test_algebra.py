@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from ybe_growth.algebra import (
     MAX_SOLUTION_SIZE,
+    _symmetric_characters,
     FiniteGroupTable,
     Permutation,
     QuandleSolution,
     SetPartition,
+    SymmetricClasses,
     class_product_table,
     conjugation_solution,
     dihedral_reflections,
@@ -22,6 +24,7 @@ from ybe_growth.algebra import (
     make_dihedral_group,
     make_symmetric_group,
     reflection_solution,
+    symmetric_cycle_types,
     symmetric_transpositions,
     transposition_solution,
 )
@@ -223,6 +226,23 @@ class TestGroups:
         assert data["labels"] == [p.label() for p in _symmetric_reference(4)]
         assert FiniteGroupTable.from_json(data).to_json() == data
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [(2.7, '"size" must be an integer'), ("x", '"size" must be an integer'),
+         (True, '"size" must be an integer'), (3, '"size" is 3 but "mult" has 2 rows')],
+    )
+    def test_from_json_rejects_a_bad_size(self, size, message):
+        data = {"size": size, "mult": [[0, 1], [1, 0]]}
+        with pytest.raises(ValueError, match=message):
+            FiniteGroupTable.from_json(data)
+        del data["size"]
+        assert FiniteGroupTable.from_json(data).size == 2
+
+    def test_from_json_needs_a_table(self):
+        for data in ([[0]], {"size": 1}, {"mult": "x"}):
+            with pytest.raises(ValueError, match='"mult" table'):
+                FiniteGroupTable.from_json(data)
+
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
             FiniteGroupTable(2, table=[[0, 1], [1, 1]])
@@ -410,6 +430,39 @@ class TestClassLevelAgainstElements:
     def test_class_product_table(self, group):
         dec = group.conjugacy_classes()
         assert class_product_table(group, dec) == _element_class_product_table(group, dec)
+
+
+class TestSymmetricClassesFromPartitions:
+    """The class algebra of S_d from partitions and characters against the
+    one read off the elements."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_equals_element_route(self, d):
+        group, perms = make_symmetric_group(d), _symmetric_reference(d)
+        by_elements = group.class_algebra()
+        classes = SymmetricClasses(d)
+        by_partitions = classes.class_algebra()
+        dec = by_elements.dec
+        assert classes.cycle_types == [perms[c[0]].cycle_type() for c in dec.classes]
+        for attr in ("sizes", "table", "inverse_class", "single_commutator_mask",
+                     "commutator_mask", "commutator_size"):
+            assert getattr(by_partitions, attr) == getattr(by_elements, attr), attr
+        assert classes.class_labels() == [[perms[x].label() for x in c] for c in dec.classes]
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_character_orthogonality(self, d):
+        # columns: sum_chi chi(i) chi(j) = z_lambda if i == j, else 0;
+        # rows: sum_k |C_k| chi(k)^2 = d!, with |C_k| = d!/z_lambda
+        types = symmetric_cycle_types(d)
+        chars = _symmetric_characters(types)
+        sizes = SymmetricClasses(d).class_algebra().sizes
+        for i, lam in enumerate(types):
+            z = math.prod(p ** lam.count(p) * math.factorial(lam.count(p)) for p in set(lam))
+            assert sizes[i] * z == math.factorial(d)
+            for j in range(len(types)):
+                assert sum(map(int.__mul__, chars[i], chars[j])) == (z if i == j else 0)
+        for m in range(len(types)):
+            assert sum(size * row[m] ** 2 for size, row in zip(sizes, chars)) == math.factorial(d)
 
 
 class TestCommutatorLengthTwo:

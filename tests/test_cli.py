@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import ybe_growth
 from test_algebra import _commutator_length_two_group, _cyclic_group
+from ybe_growth import algebra, cli
 from ybe_growth.algebra import MAX_SOLUTION_SIZE, make_dihedral_group, make_symmetric_group
 from ybe_growth.cli import _nonzero_defects, main
-from ybe_growth.group_growth import DEFAULT_DEFECT_BUDGET
+from ybe_growth.group_growth import DEFAULT_DEFECT_BUDGET, as_full_conjugation_gf
 from ybe_growth.oracle import BudgetExceededError
 
 
@@ -21,6 +22,10 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("the element route was taken")
 
 
 def assert_budget_usage_error(result, source):
@@ -110,12 +115,45 @@ class TestGroupCommand:
         assert report["defect"]["series"] == signed.to_json()
 
     def test_permutations_d9_is_usage_error(self, capsys):
-        for command in (["group", "--order", "3"], ["defect-table"]):
+        # group reaches S_12 from partitions; defect-table lists every element
+        for command, d, cap in ((["group", "--order", "3"], "13", 12), (["defect-table"], "9", 8)):
             code, out, err = run_cli(
-                command + ["--solution", "permutations", "--d", "9"], capsys
+                command + ["--solution", "permutations", "--d", d], capsys
             )
             assert code == 2 and out == ""
-            assert err == "error: permutations supported for 1 <= d <= 8\n"
+            assert err == f"error: permutations supported for 1 <= d <= {cap}\n"
+
+    @pytest.mark.parametrize("family", ["transpositions", "permutations"])
+    def test_verify_past_element_cap_is_usage_error(self, capsys, monkeypatch, family):
+        # refused before any work: the ball oracle needs the elements of S_9
+        monkeypatch.setattr(cli, "expand_rational", _refuse)
+        monkeypatch.setattr(cli, "as_full_conjugation_gf", _refuse)
+        code, out, err = run_cli(
+            ["group", "--solution", family, "--d", "9", "--order", "3", "--verify"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --verify on {family} supported for d <= 8\n"
+
+    def test_permutations_build_no_elements(self, capsys, monkeypatch):
+        # the class algebra of S_d comes from partitions, and defect-table
+        # labels the members without a group: only --verify builds it
+        monkeypatch.setattr(cli, "make_symmetric_group", _refuse)
+        monkeypatch.setattr(algebra, "make_symmetric_group", _refuse)
+        code, out, _ = run_cli(
+            ["group", "--solution", "permutations", "--d", "6", "--order", "4", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        coeffs = json.loads(out)["expansion"]["coefficients"]
+        result = as_full_conjugation_gf(algebra.SymmetricClasses(6), 4)
+        assert result.truncated.integer_coefficients() == coeffs
+        assert result.defect.classification == "finite"
+        code, _, _ = run_cli(["defect-table", "--solution", "permutations", "--d", "6"], capsys)
+        assert code == 0
+        code, _, err = run_cli(
+            ["group", "--solution", "permutations", "--d", "6", "--order", "4", "--verify"], capsys
+        )
+        assert code == 2 and err == "error: the element route was taken\n"
 
     def test_deterministic_json(self, capsys):
         args = ["group", "--solution", "dihedral", "--d", "5", "--order", "4",
@@ -367,7 +405,8 @@ class TestDefectTable:
         ids=lambda command: command[0],
     )
     def test_csv_refused_outside_defect_table(self, capsys, command):
-        # refused before any work: d = 9 would otherwise be its own usage error
+        # refused before any work: S_9 at the default order 8 would otherwise
+        # run the defect engine on its 30 classes
         code, out, err = run_cli(command + ["--format", "csv"], capsys)
         assert code == 2 and out == ""
         assert err == "error: --format csv is supported by defect-table only\n"

@@ -1,14 +1,17 @@
 import itertools
+import math
 
 import pytest
 
 from ybe_growth.algebra import (
     Permutation,
+    SymmetricClasses,
     dihedral_reflections,
     make_dihedral_group,
     make_symmetric_group,
     symmetric_transpositions,
 )
+from ybe_growth.cli import MAX_PERMUTATIONS_D
 from ybe_growth.group_growth import (
     DEFAULT_DEFECT_BUDGET,
     _defect_truncated_signed,
@@ -329,6 +332,23 @@ class TestFullConjugation:
             assert is_commutator_length_one(make_symmetric_group(d))
         for d in (3, 5, 7, 9):
             assert is_commutator_length_one(make_dihedral_group(d))
+
+    def test_commutator_length_one_from_partitions(self):
+        # Ore's theorem again, on the class algebras built from partitions,
+        # through the largest S_d the group command accepts
+        for d in range(1, MAX_PERMUTATIONS_D + 1):
+            group = SymmetricClasses(d)
+            assert is_commutator_length_one(group)
+            assert group.class_algebra().commutator_size == max(1, math.factorial(d) // 2)
+
+    def test_s9_from_partitions(self):
+        # past the element route's cap: 30 classes, |A_9| = 181440
+        result = as_full_conjugation_gf(SymmetricClasses(9), 4)
+        assert result.truncated.integer_coefficients() == [
+            1, 725760, 277819739, 6457496700, 98143588402
+        ]
+        assert result.defect.classification == "finite"
+        assert (result.class_count, result.commutator_size) == (30, 181440)
 
     def test_s3_closed_form(self):
         result = as_full_conjugation_gf(make_symmetric_group(3), 5)

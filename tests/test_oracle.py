@@ -114,6 +114,12 @@ class TestOrbitEqual:
         with pytest.raises(BudgetExceededError):
             orbit_equal(sol, (0,) * 9, (1,) * 9, budget=10)
 
+    def test_letters_checked_before_any_shortcut(self):
+        sol = reflection_solution(3)
+        for w1, w2 in (((0, 7), (0, 7)), ((0, 7), (1, 0)), ((1, 0), (0, 7)), ((0, -1), (0,))):
+            with pytest.raises(ValueError, match="letters outside 0..2"):
+                orbit_equal(sol, w1, w2)
+
 
 class TestBallEnumeration:
     def test_as_t2_is_z(self):
@@ -476,6 +482,19 @@ class TestWindowClosureAgainstReference:
             assert list(closure) == [word]
             for other in {word[:-1], word + (0,)} - {word}:
                 assert other not in closure
+
+    @pytest.mark.parametrize("word, margin", LONG_WORDS)
+    def test_row_membership_matches_a_scan(self, word, margin):
+        # the binary search over lexsorted rows answers as a scan of every row
+        closure = reflection_orbit_closure(word, margin)
+        rows = closure._states
+        assert rows.ndim == 2
+        for member in itertools.islice(closure, 0, None, len(closure) // 50 + 1):
+            for pos in range(len(member)):
+                for step in (-1, 0, 1):
+                    query = member[:pos] + (member[pos] + step,) + member[pos + 1 :]
+                    offsets = np.array(query) - closure.lo
+                    assert (query in closure) == bool((rows == offsets).all(axis=1).any())
 
     @pytest.mark.parametrize("word, margin", LONG_WORDS)
     def test_long_words_take_the_row_path(self, word, margin, monkeypatch):
