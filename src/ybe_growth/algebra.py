@@ -17,7 +17,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -93,33 +92,23 @@ class Permutation:
             imgs[x] = i
         return Permutation(imgs)
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The cycles of length > 1, each written from its smallest point, in
+        order of that point."""
+        return [tuple(cycle) for cycle in _cycles(self.images)]
 
     def cycle_count(self) -> int:
         """Number of cycles, fixed points included."""
-        return len(self.cycles(include_fixed=True))
+        cycles = _cycles(self.images)
+        return len(cycles) + len(self.images) - sum(map(len, cycles))
 
     def transposition_length(self) -> int:
         """Minimal number of transpositions: d - (number of cycles)."""
         return len(self.images) - self.cycle_count()
 
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
+        lengths = sorted(map(len, _cycles(self.images)), reverse=True)
+        return tuple(lengths) + (1,) * (len(self.images) - sum(lengths))
 
     def label(self) -> str:
         return cycle_label(self.images)
@@ -866,7 +855,7 @@ def generic_length_series(
         if not frontier:
             break
     covered = len(dist) == group.size
-    return TruncatedSeries(Fraction(c) for c in counts), covered
+    return TruncatedSeries(counts), covered
 
 
 # -- set partitions -----------------------------------------------------------

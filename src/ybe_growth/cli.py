@@ -4,7 +4,8 @@ Subcommands: group, monoid, defect-table, egf, normal-form, invariants,
 verify.  Output is deterministic: two runs with the same configuration
 produce byte-identical JSON (timings are therefore printed only in text
 mode).  Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed
-input, 3 budget exceeded (including a verification the budget cut short).
+input, 3 budget exceeded (including a verification the budget cut short) or
+memory exhausted.
 """
 
 from __future__ import annotations
@@ -528,6 +529,9 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ The engine reads only `group.class_algebra()` and `group.name`, so it takes a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import ClassAlgebra, FiniteGroupTable
@@ -48,9 +47,7 @@ def class2_lift(
             raise ValueError("class-2 lift needs truncation order at least 1")
         factor = expand_rational(RationalGF(ONE_PLUS_T2, ONE_MINUS_T2), small.order)
         # t * d/dt at full order: coefficient n is n * c_n
-        t_deriv = TruncatedSeries(
-            [Fraction(0)] + [n * small[n] for n in range(1, small.order + 1)]
-        )
+        t_deriv = TruncatedSeries(n * small[n] for n in range(small.order + 1))
         return factor * small + t_deriv
     raise TypeError("expected a RationalGF or TruncatedSeries")
 
@@ -314,7 +311,7 @@ def _defect_truncated_signed(
         return total
 
     coeffs = suffix(1, 1)
-    return TruncatedSeries(Fraction(c) for c in coeffs)
+    return TruncatedSeries(coeffs)
 
 
 def is_commutator_length_one(group: FiniteGroupTable) -> bool:

@@ -1,10 +1,12 @@
 """Exact formal power series and rational generating functions over Q.
 
-Everything in this module is exact: coefficients are arbitrary-precision
-rationals, truncation orders are always explicit, and no floating point is
-used anywhere.  Growth series produced elsewhere in the package are expected
-to have integer coefficients; `TruncatedSeries.integer_coefficients` is the
-checked conversion.
+Everything in this module is exact: truncation orders are always explicit
+and no floating point is used anywhere.  This is the one module that decides
+how a coefficient is held: an `int` when the value is integral and a reduced
+`Fraction` otherwise.  Every constructor normalises to that form, so callers
+pass plain ints, or a `Fraction` for a value that is not integral, and growth
+series, whose coefficients are integers, stay on int arithmetic.
+`TruncatedSeries.integer_coefficients` is the checked conversion.
 """
 
 from __future__ import annotations
@@ -15,14 +17,23 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x) -> Scalar:
+    """The canonical form of an exact rational: its int when integral, else
+    the reduced Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b in canonical form."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _frac(Fraction(a, b))
 
 
 class Polynomial:
@@ -44,10 +55,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Scalar:
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
-        return Fraction(0)
+        return 0
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce_poly(other)
@@ -71,7 +82,7 @@ class Polynomial:
         other = _coerce_poly(other)
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -96,7 +107,7 @@ class Polynomial:
         """Multiply by t^k."""
         if self.is_zero():
             return self
-        return Polynomial([Fraction(0)] * k + list(self.coeffs))
+        return Polynomial([0] * k + list(self.coeffs))
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -108,21 +119,21 @@ class Polynomial:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         lead = other.coeffs[-1]
         for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / lead
+            c = _div(rem[i + len(other.coeffs) - 1], lead)
             quot[i] = c
             if c:
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] -= c * b
         return Polynomial(quot), Polynomial(rem)
 
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, x: Scalar) -> Scalar:
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _frac(acc)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -284,7 +295,7 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Scalar:
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "TruncatedSeries":
@@ -320,7 +331,7 @@ class TruncatedSeries:
             return TruncatedSeries(c * other for c in self.coeffs)
         a, b = self._common(other)
         n = a.order
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j in range(n + 1 - i):
@@ -337,7 +348,7 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k, keeping the same order."""
-        return TruncatedSeries(([Fraction(0)] * k + list(self.coeffs))[: self.order + 1])
+        return TruncatedSeries(([0] * k + list(self.coeffs))[: self.order + 1])
 
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
@@ -346,12 +357,10 @@ class TruncatedSeries:
         return hash(self.coeffs)
 
     def integer_coefficients(self) -> list[int]:
-        out = []
         for i, c in enumerate(self.coeffs):
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ValueError(f"coefficient of t^{i} is not an integer: {c}")
-            out.append(c.numerator)
-        return out
+        return list(self.coeffs)
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self.coeffs]}, order={self.order})"
@@ -382,7 +391,7 @@ def expand_rational(gf: RationalGF, order: int) -> TruncatedSeries:
         acc = gf.num[n]
         for k in range(1, min(n, gf.den.degree) + 1):
             acc -= gf.den[k] * out[n - k]
-        out.append(acc / d0)
+        out.append(_div(acc, d0))
     return TruncatedSeries(out)
 
 
@@ -423,8 +432,8 @@ class BivariateSeries:
 
     @classmethod
     def constant(cls, value, order_t: int, order_x: int) -> "BivariateSeries":
-        rows = [[Fraction(0)] * (order_x + 1) for _ in range(order_t + 1)]
-        rows[0][0] = _frac(value)
+        rows = [[0] * (order_x + 1) for _ in range(order_t + 1)]
+        rows[0][0] = value
         return cls(rows)
 
     def _common(self, other):
@@ -459,7 +468,7 @@ class BivariateSeries:
             return BivariateSeries(tuple(c * other for c in row) for row in self.rows)
         a, b = self._common(other)
         nt, nx = a.order_t, a.order_x
-        out = [[Fraction(0)] * (nx + 1) for _ in range(nt + 1)]
+        out = [[0] * (nx + 1) for _ in range(nt + 1)]
         for i in range(nt + 1):
             for j in range(nx + 1):
                 c = a.rows[i][j]
@@ -485,7 +494,7 @@ class BivariateSeries:
                 raise ValueError(f"not divisible by t^{k}: nonzero entry at t^{i}")
         rows = list(self.rows[k:])
         if not rows:
-            rows = [(Fraction(0),) * (self.order_x + 1)]
+            rows = [(0,) * (self.order_x + 1)]
         return BivariateSeries(rows)
 
     def exp(self) -> "BivariateSeries":
@@ -516,7 +525,7 @@ def bivariate_binomial(order_t: int, order_x: int) -> BivariateSeries:
     """
     if order_t < 0 or order_x < 0:
         raise ValueError("orders must be non-negative")
-    rows = [[Fraction(0)] * (order_x + 1) for _ in range(order_t + 1)]
+    rows = [[0] * (order_x + 1) for _ in range(order_t + 1)]
     binom = ONE  # binom(-t, 0)
     for n in range(order_x + 1):
         if n > 0:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -127,14 +126,7 @@ def min_transposition_factorization(perm: Permutation) -> list[tuple[int, int]]:
     """Canonical minimal-length factorization: cycles ordered by minimal
     element, each cycle (a1 a2 ... ak) with a1 minimal written as
     (a1,a2)(a2,a3)...(a_{k-1},a_k)."""
-    factors = []
-    for cyc in sorted(perm.cycles(), key=min):
-        a0 = min(cyc)
-        k = cyc.index(a0)
-        rotated = cyc[k:] + cyc[:k]
-        for a, b in zip(rotated, rotated[1:]):
-            factors.append((min(a, b), max(a, b)))
-    return factors
+    return [(min(a, b), max(a, b)) for cyc in perm.cycles() for a, b in zip(cyc, cyc[1:])]
 
 
 def fts_normal_form(perm: Permutation, m: int, d: int) -> TranspositionWord:
@@ -223,13 +215,11 @@ def egf_transposition_monoids(order_t: int, order_x: int) -> BivariateSeries:
         rows[4][1] -= 1  # subtract t^4 x
     shifted = BivariateSeries(rows).shift_down_t(2)  # checked division by t^2
     geom = geometric_series(order_t, step=2)
-    geom_bi = BivariateSeries(
-        [[geom[i]] + [Fraction(0)] * order_x for i in range(order_t + 1)]
-    )
+    geom_bi = BivariateSeries([[geom[i]] + [0] * order_x for i in range(order_t + 1)])
     inner = shifted.truncate(order_t, order_x) * geom_bi
     return inner.exp()
 
 
 def egf_column(egf: BivariateSeries, d: int) -> TruncatedSeries:
     """d! times the x^d coefficient: the growth series of the d-th monoid."""
-    return egf.coefficient_of_x(d) * Fraction(math.factorial(d))
+    return egf.coefficient_of_x(d) * math.factorial(d)

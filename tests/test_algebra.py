@@ -112,6 +112,13 @@ class TestPermutation:
         assert Permutation.identity(4).transposition_length() == 0
         assert Permutation((1, 2, 3, 0)).transposition_length() == 3
 
+    def test_fixed_points_counted_but_not_listed(self):
+        p = Permutation((5, 1, 0, 4, 3, 2, 6))  # (0 5 2)(3 4), fixing 1 and 6
+        assert p.cycles() == [(0, 5, 2), (3, 4)]
+        assert p.cycle_count() == 4
+        assert p.cycle_type() == (3, 2, 1, 1)
+        assert Permutation.identity(3).cycle_type() == (1, 1, 1)
+
     def test_inverse(self):
         p = Permutation((2, 0, 1))
         assert (p * p.inverse()).images == (0, 1, 2)

@@ -81,6 +81,20 @@ class TestGroupCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 388. GiB for an array", ""])
+    def test_memory_error_exit_code(self, capsys, monkeypatch, message):
+        # the ball oracle of S_8 would ask numpy for hundreds of GiB
+        def _exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "full_conjugation_spheres", _exhausted)
+        code, out, err = run_cli(
+            ["group", "--solution", "permutations", "--d", "4", "--order", "2", "--verify"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err == f"out of memory: {message or 'allocation failed'}\n"
+
     def test_negative_budget_is_usage_error(self, capsys, monkeypatch):
         args = ["group", "--solution", "transpositions", "--d", "3", "--order", "3", "--verify"]
         assert_budget_usage_error(run_cli(args + ["--budget-states", "-1"], capsys),

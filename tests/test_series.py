@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,3 +190,75 @@ class TestBivariate:
     def test_shift_down_checks_divisibility(self):
         with pytest.raises(ValueError, match="not divisible"):
             BivariateSeries([[0, 1], [0, 0], [1, 0]]).shift_down_t(2)
+
+
+def _all_int(values):
+    return all(type(c) is int for c in values)
+
+
+class TestCanonicalForm:
+    """A coefficient is held as an int when integral, else as a reduced Fraction."""
+
+    def test_integral_values_are_ints(self):
+        assert Polynomial([3, Fraction(4, 2), -1]).coeffs == (3, 2, -1)
+        assert _all_int(Polynomial([3, Fraction(4, 2), -1]).coeffs)
+        assert _all_int(TruncatedSeries([1, Fraction(6, 3), 0]).coeffs)
+        bi = BivariateSeries([[1, Fraction(2, 1)], [0, Fraction(-8, 4)]])
+        assert all(_all_int(row) for row in bi.rows)
+        assert type(BivariateSeries.constant(Fraction(4, 2), 1, 1).rows[0][0]) is int
+
+    def test_non_integral_stays_reduced_fraction(self):
+        c = Polynomial([Fraction(2, 4)]).coeffs[0]
+        assert type(c) is Fraction and (c.numerator, c.denominator) == (1, 2)
+
+    def test_arithmetic_renormalises(self):
+        half = Polynomial([Fraction(1, 2)])
+        assert _all_int((half + half).coeffs) and (half + half) == ONE
+        assert _all_int((Polynomial([1, 1]) * 2).coeffs)
+        s = TruncatedSeries([Fraction(1, 3), Fraction(2, 3)])
+        assert _all_int((s * 3).coeffs) and _all_int((s + s + s).coeffs)
+
+    def test_expand_rational_keeps_ints(self):
+        assert _all_int(expand_rational(GEOM, 20).coeffs)
+        assert _all_int(geometric_series(12, step=3).coeffs)
+
+    def test_expand_rational_non_integral(self):
+        s = expand_rational(RationalGF(ONE, Polynomial([2, -1])), 3)
+        assert s.coeffs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
+        assert all(type(c) is Fraction for c in s.coeffs)
+
+    def test_divmod_is_exact(self):
+        q, r = Polynomial([1, 0, 1]).divmod(Polynomial([0, 2]))
+        assert q == Polynomial([0, Fraction(1, 2)]) and r == ONE
+        assert q * Polynomial([0, 2]) + r == Polynomial([1, 0, 1])
+        assert _all_int(r.coeffs)
+        q, r = Polynomial([2, 0, -2]).divmod(Polynomial([2, 2]))
+        assert q == Polynomial([1, -1]) and r.is_zero() and _all_int(q.coeffs)
+
+    def test_evaluation(self):
+        assert type(Polynomial([1, 2])(Fraction(1, 2))) is int
+        assert Polynomial([1, 2])(Fraction(1, 4)) == Fraction(3, 2)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, "1", np.int64(1)])
+    def test_inexact_coefficient_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Polynomial([1, bad])
+        with pytest.raises(TypeError):
+            TruncatedSeries([bad])
+        with pytest.raises(TypeError):
+            BivariateSeries([[bad]])
+
+    def test_growth_series_hold_ints(self):
+        from ybe_growth.algebra import make_dihedral_group
+        from ybe_growth.group_growth import as_full_conjugation_gf
+        from ybe_growth.reflection_monoid import monoid_growth_reflections
+
+        gf = monoid_growth_reflections(6)
+        assert _all_int(gf.num.coeffs) and _all_int(gf.den.coeffs)
+        assert _all_int(expand_rational(gf, 10).coeffs)
+        result = as_full_conjugation_gf(make_dihedral_group(24), 6)
+        assert _all_int(result.truncated.coeffs) and _all_int(result.defect.truncated.coeffs)
+        # D6 has a closed form, with a defect tail over 1 - t^2
+        result = as_full_conjugation_gf(make_dihedral_group(6), 6)
+        for gf in (result.closed_form, result.defect.closed_form):
+            assert _all_int(gf.num.coeffs) and _all_int(gf.den.coeffs)
