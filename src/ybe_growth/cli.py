@@ -463,7 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--budget-states", type=int, default=None, help="state budget override")
-    common.add_argument("--threads", type=int, default=1, help="maximum worker count")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="echoed into the report's config; no computation uses it",
+    )
     common.add_argument(
         "--seed", type=int, default=0, help="echoed into the report's config; no check uses it"
     )

@@ -14,6 +14,7 @@ already separate elements.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,30 +99,26 @@ def invariants(word: ReflectionWord) -> InvariantTuple:
     d = word.modulus
     if n == 0:
         return InvariantTuple(d, 0, 0 if d is None else d, 0, 0, 0, 0)
+    first = letters[0]
     weight = _weight(letters)
-    diffs = [x - y for x, y in zip(letters, letters[1:])]
+    # the differences from the first letter span the same lattice as the
+    # differences of neighbours
     if d is None:
-        density = math.gcd(*diffs)
-        anchor = letters[0] % density if density > 0 else letters[0]
+        density = math.gcd(*[x - first for x in letters])
+        if density == 0:
+            even = n if first % 2 == 0 else 0
+            return InvariantTuple(d, weight, 0, first, even, n - even, n)
     else:
         weight %= d
-        density = math.gcd(d, *diffs)
-        anchor = letters[0] % density
-    even, odd = _essential_lengths(letters, n, d, density, anchor)
-    return InvariantTuple(d, weight, density, anchor, even, odd, n)
-
-
-def _essential_lengths(letters, n, d, density, anchor) -> tuple[int, int]:
-    if d is None:
-        if density == 0:
-            return (n, 0) if letters[0] % 2 == 0 else (0, n)
-    elif d // density % 2 == 1:
-        # parity collapses at odd level; fixed by convention
-        return n, 0
+        density = math.gcd(d, *[x - first for x in letters])
+        if d // density % 2 == 1:
+            # parity collapses at odd level; fixed by convention
+            return InvariantTuple(d, weight, density, first % density, n, 0, n)
+    anchor = first % density
     # every letter is anchor + density * (essential letter); over Z_d the
     # letters lie in [anchor, d), so no reduction mod d is needed
     odd = sum((a - anchor) // density & 1 for a in letters)
-    return n - odd, odd
+    return InvariantTuple(d, weight, density, anchor, n - odd, odd, n)
 
 
 def essentialise(word: ReflectionWord) -> ReflectionWord:
@@ -313,29 +310,37 @@ def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> 
         if (a - b) % 2 == 0:
             raise ValueError("parity constraint needs a, b of different parity")
     g = math.gcd(a, b, c)
-    ar, br = a // g, b // g
-    congruences = []
-    for p in _prime_factors(br - ar):
-        congruences.append((0 if ar % p else 1, p))
-    if parity is not None:
-        congruences.append((parity, 2))
-    n, mod = _crt(congruences)
-    if n < 1:
-        n += mod
+    n = _reduced_witness(a // g, b // g, parity)
     if math.gcd(a + n * c, b + n * c) != g or (parity is not None and n % 2 != parity):
         raise AssertionError("gcd witness failed verification")
     return n
 
 
-def _pair_lift(x: int, a: int, d: int, primes: Sequence[int]) -> int:
-    """m with gcd(x, a + m d) = gcd(d, x, a), given the primes of x != 0."""
+# The two memos below are keyed by everything their answer depends on, so a
+# hit returns what a fresh solve would; their callers still check every answer.
+
+
+@functools.lru_cache(maxsize=8192)
+def _reduced_witness(ar: int, br: int, parity: Optional[int]) -> int:
+    """Least n >= 1 solving the witness congruences for the reduced pair
+    (a/g, b/g); c never enters them."""
+    congruences = [(0 if ar % p else 1, p) for p in _prime_factors(br - ar)]
+    if parity is not None:
+        congruences.append((parity, 2))
+    n, mod = _crt(congruences)
+    return n if n >= 1 else n + mod
+
+
+@functools.lru_cache(maxsize=8192)
+def _pair_lift(x: int, a: int, d: int) -> int:
+    """m with gcd(x, a + m d) = gcd(d, x, a), for x != 0."""
     g = math.gcd(d, x, a)
     xr, ar, dr = x // g, a // g, d // g
     congruences = []
-    for p in primes:
+    for p in _prime_factors(xr):
         # only primes of x/g constrain m; one that also divides d/g cannot
         # divide a/g, so any m works mod it
-        if xr % p == 0 and dr % p:
+        if dr % p:
             congruences.append(((1 - ar) * pow(dr, -1, p) % p, p))
     m = _crt(congruences)[0]
     if math.gcd(x, a + m * d) != g:
@@ -351,33 +356,28 @@ def lift_to_coprime(values: Sequence[int], d: int, force_odd: bool = False) -> l
         raise ValueError("need at least two values")
     if force_odd and d % 2 == 0:
         raise ValueError("force_odd requires odd d")
-    target = math.gcd(d, *values)
     if d == 0:
         return [0] * len(values)
-    if force_odd:
-        result = [1 - (v & 1) for v in values]  # even values move up by d
-        lifted = [v + m * d for v, m in zip(values, result)]
+    step = d
+    lifted = values
+    if force_odd:  # even values move up by d, and later steps keep the parity
         step = 2 * d
-    else:
-        result = [0] * len(values)
-        lifted = values
-        step = d
+        lifted = [v if v & 1 else v + d for v in values]
     for i, x in enumerate(lifted):
         if x:  # the first nonzero value anchors the pairwise lifts
-            primes = _prime_factors(x)
-            scale = step // d
-            for j, v in enumerate(lifted):
-                if j != i:
-                    result[j] += _pair_lift(x, v, step, primes) * scale
+            # the anchor's own lift is solved and dropped, which costs less
+            # than skipping its index on every call
+            final = [v + _pair_lift(x, v, step) * step for v in lifted]
+            final[i] = x
             break
     else:
-        result = [m + 1 for m in result]  # all values become d (odd when forced)
-    final = [v + m * d for v, m in zip(values, result)]
-    if math.gcd(*final) != target:
+        final = [v + d for v in lifted]  # all values become d (odd when forced)
+    if math.gcd(*final) != math.gcd(d, *values):
         raise AssertionError("coprime lift failed verification")
-    if force_odd and not all(v & 1 for v in final):
+    # a product is odd exactly when every factor is
+    if force_odd and not math.prod(final) & 1:
         raise AssertionError("coprime lift failed the parity requirement")
-    return result
+    return [(f - v) // d for f, v in zip(final, values)]
 
 
 # -- the full reflection semigroups and growth ---------------------------------

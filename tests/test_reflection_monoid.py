@@ -389,6 +389,28 @@ class TestDensityOfProduct:
             assert density_of_product(invariants(u), invariants(v)) == invariants(u * v).density
 
 
+def _clear_lemma_memos():
+    reflection_monoid._reduced_witness.cache_clear()
+    reflection_monoid._pair_lift.cache_clear()
+
+
+@pytest.fixture
+def unfactored(monkeypatch):
+    """Patch out the factoring the lemmas' congruences come from, and yield
+    the function that undoes the patch.  Both lemma memos are cleared before
+    the patch, so no stored answer hides the fault, and again when it is
+    undone, so no answer solved under it outlives it."""
+
+    def restore():
+        monkeypatch.undo()
+        _clear_lemma_memos()
+
+    _clear_lemma_memos()
+    monkeypatch.setattr(reflection_monoid, "_prime_factors", lambda n: ())
+    yield restore
+    restore()
+
+
 class TestArithmeticLemmas:
     def test_witness_examples(self):
         n = triple_gcd_witness(2, 4, 3)
@@ -426,11 +448,22 @@ class TestArithmeticLemmas:
                 assert math.gcd(*final) == math.gcd(d, *values)
                 assert not force_odd or all(v % 2 for v in final)
 
-    def test_witness_checks_its_answer(self, monkeypatch):
+    def test_witness_checks_its_answer(self, unfactored):
         # without the prime constraints the CRT answer n = 1 gives gcd(2, 4) = 2
-        monkeypatch.setattr(reflection_monoid, "_prime_factors", lambda n: ())
         with pytest.raises(AssertionError):
             triple_gcd_witness(1, 3, 1)
+
+    def test_lift_checks_its_answer(self, unfactored):
+        # without the prime constraints the lift keeps gcd(2, 4) = 2
+        with pytest.raises(AssertionError):
+            lift_to_coprime([2, 4], 1)
+        with pytest.raises(AssertionError):
+            triple_gcd_witness(1, 3, 1)
+        unfactored()
+        # no answer solved without the primes survives in the memos
+        assert lift_to_coprime([2, 4], 1) == [0, 1]
+        n = triple_gcd_witness(1, 3, 1)
+        assert math.gcd(1 + n, 3 + n) == 1
 
     def test_lift_preconditions(self):
         with pytest.raises(ValueError):
