@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .series import ONE, ONE_MINUS_T, Polynomial, RationalGF, T
 
@@ -291,6 +294,38 @@ def _crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     return x % m, m
 
 
+# Inputs at most M in absolute value keep every intermediate of the box forms
+# inside int64 when M is at most this bound: a + n c and v + m step stay
+# below 4 M**2 + 2 M, and a key code below (4 M + 1)**2.
+_INT64_BOUND = 2**29
+
+
+_as_int = np.frompyfunc(operator.index, 1, 1)
+
+
+def _exact(*boxes) -> list[np.ndarray]:
+    """The boxes as int64 arrays when no intermediate can overflow int64, else
+    as object arrays of Python ints.  Anything but an integer array is read
+    entry by entry, as numpy would read ints past int64 as uint64 or even
+    float64; an entry that is not an integer raises TypeError."""
+    arrays = [
+        x if isinstance(x, np.ndarray) and x.dtype.kind in "iu" else _as_int(np.array(x, dtype=object))
+        for x in boxes
+    ]
+    bound = max((abs(int(v)) for x in arrays if x.size for v in (x.min(), x.max())), default=0)
+    dtype = np.int64 if bound <= _INT64_BOUND else object
+    return [x.astype(dtype) for x in arrays]
+
+
+def _distinct(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct pair (x[i], y[i]), and each pair's
+    position among them, with every pair taken as one integer code."""
+    low = y.min(initial=0)
+    code = (x - x.min(initial=0)) * (y.max(initial=0) - low + 1) + (y - low)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> int:
     """n >= 1 with gcd(a + n c, b + n c) = gcd(a, b, c), of the requested
     parity when asked (which needs a, b of different parity).
@@ -302,16 +337,31 @@ def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> 
     parity mod 2, are solved by the Chinese remainder theorem; the moduli
     are coprime, as a parity needs b - a odd.
     """
-    if a == b:
+    return int(gcd_witnesses([a], [b], [c], parity)[0])
+
+
+def gcd_witnesses(a, b, c, parity: Optional[int] = None) -> np.ndarray:
+    """`triple_gcd_witness` over a box: the witness of each row (a[i], b[i],
+    c[i]) of three 1-D integer arrays, every row under the one parity.
+
+    Each distinct reduced pair (a/g, b/g) is solved once, and every row's
+    answer is checked.  The result is int64, or object when the inputs are
+    too large for int64 to hold every intermediate.
+    """
+    a, b, c = _exact(a, b, c)
+    if (a == b).any():
         raise ValueError("requires a != b")
     if parity is not None:
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        if (a - b) % 2 == 0:
+        if ((a - b) % 2 == 0).any():
             raise ValueError("parity constraint needs a, b of different parity")
-    g = math.gcd(a, b, c)
-    n = _reduced_witness(a // g, b // g, parity)
-    if math.gcd(a + n * c, b + n * c) != g or (parity is not None and n % 2 != parity):
+    g = np.gcd(np.gcd(a, b), c)
+    ar, br = a // g, b // g
+    first, inverse = _distinct(ar, br)
+    solved = [_reduced_witness(x, y, parity) for x, y in zip(ar[first].tolist(), br[first].tolist())]
+    n = np.array(solved, dtype=a.dtype)[inverse]
+    if (np.gcd(a + n * c, b + n * c) != g).any() or (parity is not None and (n % 2 != parity).any()):
         raise AssertionError("gcd witness failed verification")
     return n
 
@@ -351,33 +401,51 @@ def _pair_lift(x: int, a: int, d: int) -> int:
 def lift_to_coprime(values: Sequence[int], d: int, force_odd: bool = False) -> list[int]:
     """Offsets m with gcd_i(values_i + m_i d) = gcd(d, values...); with
     force_odd (d odd) every lifted value is odd."""
-    values = list(map(int, values))
-    if len(values) < 2:
+    return coprime_lifts([list(map(int, values))], d, force_odd)[0].tolist()
+
+
+def coprime_lifts(values, d: int, force_odd: bool = False) -> np.ndarray:
+    """`lift_to_coprime` over a box: the offsets of each row of an (N, k)
+    integer array, every row under the one d and force_odd.
+
+    Each distinct (anchor, value) pair is solved once, and every row's
+    lifted values are checked.  The result is int64, or object when the
+    inputs are too large for int64 to hold every intermediate.
+    """
+    values = _exact(values, [d])[0]
+    if values.ndim != 2 or values.shape[1] < 2:
         raise ValueError("need at least two values")
     if force_odd and d % 2 == 0:
         raise ValueError("force_odd requires odd d")
+    d = int(d)
     if d == 0:
-        return [0] * len(values)
+        return np.zeros_like(values)
     step = d
     lifted = values
     if force_odd:  # even values move up by d, and later steps keep the parity
         step = 2 * d
-        lifted = [v if v & 1 else v + d for v in values]
-    for i, x in enumerate(lifted):
-        if x:  # the first nonzero value anchors the pairwise lifts
-            # the anchor's own lift is solved and dropped, which costs less
-            # than skipping its index on every call
-            final = [v + _pair_lift(x, v, step) * step for v in lifted]
-            final[i] = x
-            break
-    else:
-        final = [v + d for v in lifted]  # all values become d (odd when forced)
-    if math.gcd(*final) != math.gcd(d, *values):
+        lifted = np.where(values % 2 == 1, values, values + d)
+    # the first nonzero value of a row anchors its pairwise lifts; the
+    # anchor's own lift is solved and dropped.  A row with no anchor (all
+    # zero, not forced odd) moves every value by d.
+    nonzero = lifted != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    anchor_at = nonzero[rows].argmax(axis=1)
+    paired = lifted[rows]
+    anchors = np.repeat(paired[np.arange(len(rows)), anchor_at], paired.shape[1])
+    first, inverse = _distinct(anchors, paired.ravel())
+    solved = [
+        _pair_lift(x, v, step) for x, v in zip(anchors[first].tolist(), paired.ravel()[first].tolist())
+    ]
+    m = np.ones_like(values)
+    m[rows] = np.array(solved, dtype=values.dtype)[inverse].reshape(paired.shape)
+    m[rows, anchor_at] = 0
+    final = lifted + m * step
+    if (np.gcd.reduce(final, axis=1) != np.gcd(d, np.gcd.reduce(values, axis=1))).any():
         raise AssertionError("coprime lift failed verification")
-    # a product is odd exactly when every factor is
-    if force_odd and not math.prod(final) & 1:
+    if force_odd and (final % 2 == 0).any():
         raise AssertionError("coprime lift failed the parity requirement")
-    return [(f - v) // d for f, v in zip(final, values)]
+    return (final - values) // d
 
 
 # -- the full reflection semigroups and growth ---------------------------------

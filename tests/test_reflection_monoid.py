@@ -2,6 +2,7 @@ import math
 import random
 from itertools import permutations as iterperms, product as iproduct
 
+import numpy as np
 import pytest
 
 from ybe_growth.algebra import reflection_solution
@@ -14,6 +15,7 @@ from ybe_growth import reflection_monoid
 from ybe_growth.reflection_monoid import (
     InvariantTuple,
     ReflectionWord,
+    coprime_lifts,
     density_of_product,
     divisor_count,
     divisors,
@@ -23,6 +25,7 @@ from ybe_growth.reflection_monoid import (
     frs_embed,
     frs_growth_gf,
     frs_image_contains,
+    gcd_witnesses,
     invariants,
     lift_to_coprime,
     monoid_growth_reflections,
@@ -452,18 +455,36 @@ class TestArithmeticLemmas:
         # without the prime constraints the CRT answer n = 1 gives gcd(2, 4) = 2
         with pytest.raises(AssertionError):
             triple_gcd_witness(1, 3, 1)
+        with pytest.raises(AssertionError):  # one failing row among good ones
+            gcd_witnesses([2, 1, 2], [7, 3, 7], [1, 1, 1])
 
     def test_lift_checks_its_answer(self, unfactored):
         # without the prime constraints the lift keeps gcd(2, 4) = 2
         with pytest.raises(AssertionError):
             lift_to_coprime([2, 4], 1)
         with pytest.raises(AssertionError):
+            coprime_lifts([[0, 0], [2, 4], [0, 0]], 1)
+        with pytest.raises(AssertionError):
             triple_gcd_witness(1, 3, 1)
         unfactored()
         # no answer solved without the primes survives in the memos
         assert lift_to_coprime([2, 4], 1) == [0, 1]
+        assert coprime_lifts([[0, 0], [2, 4], [0, 0]], 1).tolist() == [[1, 1], [0, 1], [1, 1]]
         n = triple_gcd_witness(1, 3, 1)
         assert math.gcd(1 + n, 3 + n) == 1
+
+    def test_every_row_is_checked(self, monkeypatch):
+        # solvers that answer wrongly and check nothing: the rows catch them
+        monkeypatch.setattr(reflection_monoid, "_reduced_witness", lambda ar, br, parity: 1)
+        monkeypatch.setattr(reflection_monoid, "_pair_lift", lambda x, v, step: 0)
+        with pytest.raises(AssertionError):
+            gcd_witnesses([2, 1, 2], [7, 3, 7], [1, 1, 1])
+        with pytest.raises(AssertionError):
+            coprime_lifts([[0, 0], [2, 4], [0, 0]], 1)
+        with pytest.raises(AssertionError):
+            triple_gcd_witness(1, 3, 1)
+        with pytest.raises(AssertionError):
+            lift_to_coprime([2, 4], 1)
 
     def test_lift_preconditions(self):
         with pytest.raises(ValueError):
@@ -486,6 +507,143 @@ class TestArithmeticLemmas:
             )
             if parity is not None:
                 assert n % 2 == parity
+
+
+def _mixed_triples(parity):
+    box = range(-6, 7)
+    rows = [
+        (a, b, c)
+        for a, b, c in iproduct(box, box, (-5, 0, 1, 4))
+        if a != b and (parity is None or (a - b) % 2)
+    ]
+    return rows + rows[::7]  # repeated rows
+
+
+def _mixed_lifts(k):
+    rows = list(iproduct(range(-2, 3), repeat=k))  # holds the all-zero row
+    return rows + [(0,) * k, (6,) * k] + rows[::5]
+
+
+class TestBoxForms:
+    @pytest.mark.parametrize("parity", [None, 0, 1])
+    def test_witnesses_match_one_row_calls(self, parity):
+        rows = _mixed_triples(parity)
+        n = gcd_witnesses(*np.array(rows).T, parity)
+        assert n.dtype == np.int64
+        assert n.tolist() == [triple_gcd_witness(a, b, c, parity) for a, b, c in rows]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "d, force_odd",
+        [(-3, False), (-3, True), (0, False), (1, False), (1, True), (9, False), (9, True)],
+    )
+    def test_lifts_match_one_row_calls(self, d, force_odd, k):
+        rows = _mixed_lifts(k)
+        m = coprime_lifts(np.array(rows), d, force_odd)
+        assert m.dtype == np.int64 and m.shape == (len(rows), k)
+        assert m.tolist() == [lift_to_coprime(values, d, force_odd) for values in rows]
+
+    def test_empty_boxes(self):
+        assert gcd_witnesses([], [], [], 1).tolist() == []
+        assert coprime_lifts(np.zeros((0, 3), dtype=int), 5, True).shape == (0, 3)
+
+    def test_one_offending_row_raises(self):
+        rows = np.array(_mixed_triples(1)).T
+        a, b, c = (x.copy() for x in rows)
+        a[5] = b[5]
+        with pytest.raises(ValueError, match="a != b"):
+            gcd_witnesses(a, b, c)
+        a, b, c = (x.copy() for x in rows)
+        b[5] = a[5] + 2
+        with pytest.raises(ValueError, match="different parity"):
+            gcd_witnesses(a, b, c, 0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            gcd_witnesses(*rows, 2)
+        with pytest.raises(ValueError, match="0 or 1"):
+            triple_gcd_witness(1, 2, 3, -1)
+        with pytest.raises(ValueError, match="two values"):
+            coprime_lifts(np.arange(6).reshape(6, 1), 5)
+        with pytest.raises(ValueError, match="two values"):
+            coprime_lifts(np.arange(6), 5)
+        with pytest.raises(ValueError, match="odd d"):
+            coprime_lifts(np.array(_mixed_lifts(3)), 0, force_odd=True)
+        with pytest.raises(ValueError, match="odd d"):
+            coprime_lifts(np.array(_mixed_lifts(3)), -4, force_odd=True)
+        with pytest.raises(TypeError):  # as math.gcd refuses a float
+            triple_gcd_witness(2.5, 4, 3)
+        with pytest.raises(TypeError):
+            gcd_witnesses(np.array([2.5, 1.0]), [4, 3], [3, 3])
+
+
+class TestLemmasPastInt64:
+    """Inputs whose intermediates leave int64 take the object-dtype path; its
+    answers are recomputed here with math.gcd on Python ints."""
+
+    TRIPLES = [
+        # a + n c = 2**64 + 3 for the witness n = 3
+        (2**62, 2**62 + 3, 2**62 + 1),
+        (2**70, 2**70 + 15, 2**70 - 1),
+        (2**62 + 1, 2**62 - 4, -(2**62)),
+        (-(2**70), -(2**70) + 9, 3),
+    ]
+    # only the anchor (the first nonzero lifted value) is factored, so each
+    # anchor has small prime factors; as a list, the third would read as
+    # float64 through np.asarray
+    LIFTS = [
+        ([3**44, 2**70, 2**62 + 5], 2**62 + 1, False),
+        ([3**44, 2**70, 2**62 + 5], 2**62 + 1, True),
+        ([2**70, 3, -(2**62)], 2**70 + 6, False),
+        ([0, 3 * 2**62, 2**62 + 2], 3**39, False),
+        ([0, 3 * 2**62, 2**62 + 2], 3**39, True),
+        ([3**40, 2**62 - 1], 9, False),
+        ([3**40, 2**62 - 1], 9, True),
+    ]
+
+    def test_overflow_case_is_real(self):
+        a, b, c = self.TRIPLES[0]
+        assert triple_gcd_witness(a, b, c) == 3 and a + 3 * c >= 2**63
+
+    def test_numpy_integer_inputs(self):
+        # int64 scalars and uint64 arrays past the bound are read as ints,
+        # so a + n c does not wrap around
+        a, b, c = self.TRIPLES[0]
+        assert triple_gcd_witness(np.int64(a), np.int64(b), np.int64(c)) == 3
+        n = gcd_witnesses(np.array([a], dtype=np.uint64), [b], [c])
+        assert n.dtype == object and n.tolist() == [3]
+        values = np.array([[3**40, 2**63]], dtype=np.uint64)
+        m = coprime_lifts(values, 9, force_odd=True)
+        final = [int(v) + 9 * mi for v, mi in zip(values[0], m[0])]
+        assert math.gcd(*final) == 1 and all(v % 2 for v in final)
+
+    @pytest.mark.parametrize("parity", [None, 0, 1])
+    def test_witnesses(self, parity):
+        a, b, c = (np.array(x, dtype=object) for x in zip(*self.TRIPLES))
+        box = gcd_witnesses(a, b, c, parity)
+        assert box.dtype == object
+        for (a, b, c), n in zip(self.TRIPLES, box.tolist()):
+            assert n == triple_gcd_witness(a, b, c, parity) and n >= 1
+            assert math.gcd(a + n * c, b + n * c) == math.gcd(a, b, c)
+            assert parity in (None, n % 2)
+
+    @pytest.mark.parametrize("values, d, force_odd", LIFTS)
+    def test_lifts(self, values, d, force_odd):
+        rows = [values, values, values[:1] * len(values)]
+        box = coprime_lifts(rows, d, force_odd)
+        assert box.dtype == object
+        for row, m in zip(rows, box.tolist()):
+            assert m == lift_to_coprime(row, d, force_odd)
+            final = [v + mi * d for v, mi in zip(row, m)]
+            assert math.gcd(*final) == math.gcd(d, *row)
+            assert not force_odd or all(v % 2 for v in final)
+
+    def test_int64_up_to_the_bound(self):
+        bound = reflection_monoid._INT64_BOUND
+        rows = [(bound, -bound + 1, bound), (-bound, bound - 3, -bound)]
+        n = gcd_witnesses(*np.array(rows).T)
+        assert n.dtype == np.int64
+        for (a, b, c), w in zip(rows, n.tolist()):
+            assert math.gcd(a + w * c, b + w * c) == math.gcd(a, b, c)
+        assert gcd_witnesses([bound + 1], [0], [1]).dtype == object
 
 
 class TestFRS:
