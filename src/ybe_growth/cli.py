@@ -379,6 +379,8 @@ def _parse_word(args) -> ReflectionWord:
         raise UsageError("need --word with comma-separated letters")
     letters = [int(x) for x in str(args.word).split(",") if x.strip() != ""]
     if args.infinite:
+        if args.d is not None:
+            raise UsageError("--d and --infinite exclude each other")
         return ReflectionWord(tuple(letters), None)
     if args.d is None:
         raise UsageError("need --d (or --infinite) for reflection words")

@@ -90,9 +90,14 @@ class InvariantTuple(NamedTuple):
         return ((self.weight - adjust) % self.modulus) // self.density % self.level
 
 
-def _weight(letters: tuple[int, ...]) -> int:
-    """Alternating letter sum a_1 - a_2 + a_3 - ..., unreduced."""
-    return sum(letters[0::2]) - sum(letters[1::2])
+def _weight(columns):
+    """Alternating letter sum a_1 - a_2 + a_3 - ..., unreduced, over letter
+    columns (see `invariant_columns`)."""
+    return sum(columns[0::2]) - sum(columns[1::2])
+
+
+def _gcd_of_arrays(*values):
+    return functools.reduce(np.gcd, values)
 
 
 def invariants(word: ReflectionWord) -> InvariantTuple:
@@ -102,26 +107,40 @@ def invariants(word: ReflectionWord) -> InvariantTuple:
     d = word.modulus
     if n == 0:
         return InvariantTuple(d, 0, 0 if d is None else d, 0, 0, 0, 0)
-    first = letters[0]
-    weight = _weight(letters)
+    if d is None and letters.count(letters[0]) == n:
+        # frozen: density 0, and the one letter's parity is every letter's
+        even = n if letters[0] % 2 == 0 else 0
+        return InvariantTuple(d, _weight(letters), 0, letters[0], even, n - even, n)
+    return InvariantTuple(d, *invariant_columns(letters, d), n)
+
+
+def invariant_columns(columns, d: Optional[int]) -> tuple:
+    """(weight, density, anchor, essential even length, essential odd length)
+    of words given by their letter columns: columns[i] holds letter i, as an
+    int for one word, or as an int array with one entry per word of a box.
+    Over the integers (d None) no word may be frozen; over Z_d the letters
+    are least residues.
+
+    One word takes math.gcd and a box np.gcd; the formulas are the same, so
+    a box's row equals the tuple of its word.  A box's dtype must hold the
+    alternating letter sums.
+    """
+    first = columns[0]
+    gcd = math.gcd if isinstance(first, int) else _gcd_of_arrays
+    weight = _weight(columns)
     # the differences from the first letter span the same lattice as the
     # differences of neighbours
-    if d is None:
-        density = math.gcd(*[x - first for x in letters])
-        if density == 0:
-            even = n if first % 2 == 0 else 0
-            return InvariantTuple(d, weight, 0, first, even, n - even, n)
-    else:
+    density = gcd(d or 0, *[x - first for x in columns])
+    even_level = True
+    if d is not None:
         weight %= d
-        density = math.gcd(d, *[x - first for x in letters])
-        if d // density % 2 == 1:
-            # parity collapses at odd level; fixed by convention
-            return InvariantTuple(d, weight, density, first % density, n, 0, n)
-    anchor = first % density
-    # every letter is anchor + density * (essential letter); over Z_d the
-    # letters lie in [anchor, d), so no reduction mod d is needed
-    odd = sum((a - anchor) // density & 1 for a in letters)
-    return InvariantTuple(d, weight, density, anchor, n - odd, odd, n)
+        # parity collapses at odd level d/density: every essential letter
+        # counts as even, by convention
+        even_level = d // density % 2 == 0
+    # every letter is anchor + density * (essential letter) with 0 <= anchor
+    # < density, so a // density is the essential letter
+    odd = sum([a // density & 1 for a in columns]) * even_level
+    return weight, density, first % density, len(columns) - odd, odd
 
 
 def essentialise(word: ReflectionWord) -> ReflectionWord:
@@ -140,12 +159,16 @@ def essentialise(word: ReflectionWord) -> ReflectionWord:
 
 
 def push_through(word: ReflectionWord, a: int) -> int:
-    """The letter b with word * e_a = e_b * word: (-1)^len * a + 2 * weight."""
-    letters = word.letters
-    b = (-1) ** len(letters) * a + 2 * _weight(letters)
-    if word.modulus is not None:
-        b %= word.modulus
-    return b
+    """The letter b with word * e_a = e_b * word."""
+    return push_columns(word.letters, a, word.modulus)
+
+
+def push_columns(columns, a, d: Optional[int] = None):
+    """`push_through` over letter columns, each an int for one word or an int
+    array for a box, with a an int or a column: (-1)^len * a + 2 * weight,
+    reduced mod d when d is given."""
+    b = (-1) ** len(columns) * a + 2 * _weight(columns)
+    return b if d is None else b % d
 
 
 @dataclass(frozen=True)

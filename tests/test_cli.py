@@ -598,6 +598,11 @@ class TestOtherCommands:
         code, _, err = run_cli(["invariants", "--word", "1,2"], capsys)
         assert code == 2
 
+    def test_modulus_and_infinite_exclude_each_other(self, capsys):
+        for command in ("invariants", "normal-form"):
+            result = run_cli([command, "--word", "1,2", "--d", "5", "--infinite"], capsys)
+            assert result == (2, "", "error: --d and --infinite exclude each other\n")
+
     def test_zero_modulus_is_usage_error(self, capsys):
         for command in ("invariants", "normal-form"):
             for d in ("0", "-3"):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import permutations as iterperms, product as iproduct
@@ -12,6 +13,8 @@ from ybe_growth.oracle import (
     reflection_orbit_equal_infinite,
 )
 from ybe_growth import reflection_monoid
+from ybe_growth.cli import _invariants_json
+from ybe_growth.verification import MOVE_LENGTHS, MOVE_LETTERS, _letter_columns
 from ybe_growth.reflection_monoid import (
     InvariantTuple,
     ReflectionWord,
@@ -26,10 +29,12 @@ from ybe_growth.reflection_monoid import (
     frs_growth_gf,
     frs_image_contains,
     gcd_witnesses,
+    invariant_columns,
     invariants,
     lift_to_coprime,
     monoid_growth_reflections,
     normal_form,
+    push_columns,
     push_through,
     triple_gcd_witness,
 )
@@ -209,6 +214,53 @@ class TestPushThrough:
                 for a in letters:
                     b = (-1) ** n * a + 2 * invariants(word).weight
                     assert push_through(word, a) == (b if d is None else b % d)
+
+
+# criterion 10's word sets, then moduli of density d at length 1 (d = 1, 2,
+# 7, 12), odd levels (d = 7, and 12 at density 4) and a larger alphabet
+COLUMN_BOXES = [(d, n) for d in (3, 4, 5, 6) for n in range(1, 7)] + [
+    (d, n) for d in (1, 2, 7, 12) for n in range(1, 5)
+]
+
+
+class TestLetterColumns:
+    @pytest.mark.parametrize("d, n", COLUMN_BOXES)
+    def test_box_rows_equal_invariants(self, d, n):
+        fields = invariant_columns(_letter_columns(range(d), n), d)
+        rows = np.stack(fields, axis=1).tolist()
+        words = list(iproduct(range(d), repeat=n))
+        assert len(rows) == len(words) == d**n
+        assert rows == [list(invariants(w(word, d))[1:6]) for word in words]
+
+    def test_box_covers_single_letters_and_odd_levels(self):
+        density = invariant_columns(_letter_columns(range(12), 3), 12)[1]
+        assert (invariant_columns(_letter_columns(range(7), 1), 7)[1] == 7).all()
+        assert {12 // int(g) % 2 for g in np.unique(density)} == {0, 1}
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 6, 12])
+    def test_fields_are_plain_ints(self, d):
+        for n in range(4):
+            for word in iproduct(range(d), repeat=n):
+                inv = invariants(w(word, d))
+                assert all(type(field) is int for field in inv)
+                json.dumps(_invariants_json(inv))
+
+    def test_push_columns_on_the_move_box(self):
+        for n in MOVE_LENGTHS:
+            *word, a = _letter_columns(MOVE_LETTERS, n + 1)
+            scalar = [
+                push_through(w(letters), x) for *letters, x in iproduct(MOVE_LETTERS, repeat=n + 1)
+            ]
+            assert push_columns(word, a).tolist() == scalar
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_push_columns_mod_d(self, d):
+        for n in range(1, 4):
+            *word, a = _letter_columns(range(d), n + 1)
+            scalar = [
+                push_through(w(letters, d), x) for *letters, x in iproduct(range(d), repeat=n + 1)
+            ]
+            assert push_columns(word, a, d).tolist() == scalar
 
 
 class TestNormalForm:

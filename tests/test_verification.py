@@ -1,5 +1,5 @@
-"""Criterion 12 checks every answer of the lemma boxes itself: a wrong row
-that skips the lemmas' own checks must still fail the criterion."""
+"""Criteria 10 and 12 check every row of their boxes themselves: a wrong row
+that skips the library's own checks must still fail the criterion."""
 
 import numpy as np
 
@@ -51,3 +51,57 @@ def test_wrong_lift_fails_criterion_12(monkeypatch):
     assert result.details["lift_ok"] is False
     assert result.details["triple_gcd_ok"] is True
     assert result.passed is False
+
+
+def _criterion_10(monkeypatch, name, patched):
+    monkeypatch.setattr(verification, name, patched)
+    result = verification.check_invariant_completeness()
+    assert result.details["move_cases"] == 19600
+    assert result.passed is False
+    return result.details
+
+
+def test_merged_invariant_classes_fail_criterion_10(monkeypatch):
+    # odd forced to 0 merges classes at even levels, which only d = 4 and 6 have
+    true_body = reflection_monoid.invariant_columns
+
+    def merged(columns, d):
+        weight, density, anchor, even, odd = true_body(columns, d)
+        return weight, density, anchor, even + odd, odd * 0
+
+    details = _criterion_10(monkeypatch, "invariant_columns", merged)
+    assert [row["invariant_classes_match"] for row in details["rows"]] == [True, False, True, False]
+    assert all(row["normal_forms_in_orbit"] for row in details["rows"])
+    assert details["push_through_ok"] is True
+    assert details["squares_centrality_ok"] is True
+
+
+def test_push_off_by_one_fails_criterion_10(monkeypatch):
+    changed = []
+
+    def off_by_one(columns, a, d=None):
+        b = reflection_monoid.push_columns(columns, a, d)
+        if len(columns) == 2:
+            b[17] += 1
+            changed.append(1)
+        return b
+
+    details = _criterion_10(monkeypatch, "push_columns", off_by_one)
+    assert changed == [1]
+    assert details["push_through_ok"] is False
+    assert details["squares_centrality_ok"] is True
+    assert all(row["invariant_classes_match"] for row in details["rows"])
+
+
+def test_broken_push_square_fails_criterion_10(monkeypatch):
+    true_moves = verification._push_square
+
+    def broken(a, word):
+        moved = true_moves(a, word)
+        moved[-1] = moved[-1].copy()
+        moved[-1][5] -= 1
+        return moved
+
+    details = _criterion_10(monkeypatch, "_push_square", broken)
+    assert details["squares_centrality_ok"] is False
+    assert details["push_through_ok"] is True
