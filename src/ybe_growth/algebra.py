@@ -836,26 +836,12 @@ def generic_length_series(
 
     Returns (series, covered): coefficient n counts elements at distance
     exactly n; covered is False when the generators fail to reach the whole
-    group within max_order.
+    group within max_order.  The ball oracle's search over G x Z^0.
     """
-    gens = sorted({g for x in generators for g in (int(x), group.inv(int(x)))})
-    dist = {0: 0}
-    frontier = [0]
-    counts = [1] + [0] * max_order
-    for n in range(1, max_order + 1):
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = group.mul(g, s)
-                if h not in dist:
-                    dist[h] = n
-                    nxt.append(h)
-        counts[n] = len(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    covered = len(dist) == group.size
-    return TruncatedSeries(counts), covered
+    from .oracle import group_ball_enumerate  # oracle imports this module
+
+    ball = group_ball_enumerate([(x, ()) for x in generators], group, max_order)
+    return TruncatedSeries(ball.sphere_sizes), ball.states == group.size
 
 
 # -- set partitions -----------------------------------------------------------

@@ -504,14 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-x", type=int, default=4, help="truncation order in x")
     p.set_defaults(fn=cmd_egf)
 
+    word_help = "comma-separated letters; a negative first letter needs the = form, --word=-6,-2,-2"
     p = sub.add_parser("normal-form", parents=[common], help="canonical form of a reflection word")
-    p.add_argument("--word", required=True, help="comma-separated letters")
+    p.add_argument("--word", required=True, help=word_help)
     p.add_argument("--d", type=int)
     p.add_argument("--infinite", action="store_true")
     p.set_defaults(fn=cmd_normal_form)
 
     p = sub.add_parser("invariants", parents=[common], help="invariants of a reflection word")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, help=word_help)
     p.add_argument("--d", type=int)
     p.add_argument("--infinite", action="store_true")
     p.set_defaults(fn=cmd_invariants)

@@ -2,23 +2,23 @@
 sphere counting for structure groups embedded in (finite group) x Z^k, and
 window orbit closures over the integer reflection solution.
 
-Every oracle keeps its states as sorted int64 codes (a word is a base-|X|
-integer, so numeric order equals lexicographic order), deduplicated by sort
-and binary search.  Orbits of length n+1 are the connected components of a
+Every oracle keeps its states as one sorted 1-D array of mixed-radix codes
+(a word is a base-|X| integer, so numeric order equals lexicographic order),
+deduplicated by sort and binary search.  The codes are int64, or Python ints
+in an object array where a code would overflow int64; the same lines serve
+both.  Orbits of length n+1 are the connected components of a
 quotient graph on (length-n orbit, last letter) pairs, joined only by the
 move at the last position, and are numbered by their minimal encoded word.
 The ball BFS and the window closure run through one level-synchronous
 traversal, `_bfs_levels`: both move sets are closed under inverses, so a new
-level is deduplicated against the two before it only.  Where a code would
-overflow int64, states are rows instead, deduplicated row-wise.  The window
-closure stays in that form: it returns a `WindowOrbit`, a read-only set view
-whose length and membership are read off the sorted codes (or rows), and
-which decodes words to tuples only when iterated.
+level is deduplicated against the two before it only.  The window closure
+stays in code form: it returns a `WindowOrbit`, a read-only set view whose
+length and membership are read off the sorted codes, and which decodes words
+to tuples only when iterated.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -40,20 +40,19 @@ class BudgetExceededError(RuntimeError):
 
 def _places(radices: Sequence[int]) -> np.ndarray:
     """Place values of the mixed-radix codes of digit rows below `radices`
-    (most significant first); where those codes would overflow int64, the
-    identity matrix, so that `rows @ places` keeps states as rows."""
-    if math.prod(radices) >= 2**63:
-        return np.eye(len(radices), dtype=np.int64)
-    return np.array([math.prod(radices[i + 1 :]) for i in range(len(radices))], dtype=np.int64)
+    (most significant first): int64, or Python ints in an object array where
+    those codes would overflow int64."""
+    dtype = np.int64 if math.prod(radices) < 2**63 else object
+    return np.array([math.prod(radices[i + 1 :]) for i in range(len(radices))], dtype=dtype)
 
 
 def _digit_rows(states: np.ndarray, places: np.ndarray, radices) -> np.ndarray:
-    """The digit rows of states: codes decoded, rows as they are."""
-    return states if states.ndim == 2 else states[:, None] // places % radices
+    """The int64 digit rows of codes."""
+    return (states[:, None] // places % radices).astype(np.int64, copy=False)
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of an int64 array, ascending."""
+    """The distinct values of a code array, ascending."""
     codes = np.sort(codes)
     keep = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
@@ -70,26 +69,15 @@ def _new_codes(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray)
     return codes
 
 
-def _new_rows(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """`_new_codes` for rows, sorted so that old rows precede their copies."""
-    rows = np.concatenate([before, frontier, candidates])
-    is_new = np.arange(len(rows)) >= len(before) + len(frontier)
-    order = np.lexsort((is_new, *rows.T[::-1]))
-    rows, is_new = rows[order], is_new[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[first & is_new]
-
-
 def _bfs_levels(start: np.ndarray, advance, budget: int, what: str):
-    """Yield the BFS levels from `start` (codes or rows): `advance` maps a
-    level to its neighbours, of which those in the two levels before are
-    dropped.  Raises BudgetExceededError past `budget` states."""
-    new = _new_rows if start.ndim == 2 else _new_codes
+    """Yield the BFS levels, sorted code arrays, from the codes `start`:
+    `advance` maps a level to its neighbours' codes, of which those in the two
+    levels before are dropped.  Raises BudgetExceededError past `budget`
+    states."""
     before, frontier, states = start[:0], start, len(start)
     while True:
         yield frontier
-        before, frontier = frontier, new(advance(frontier), before, frontier)
+        before, frontier = frontier, _new_codes(advance(frontier), before, frontier)
         states += len(frontier)
         if states > budget:
             raise BudgetExceededError(f"{what} exceeded {budget} states")
@@ -253,10 +241,11 @@ def group_ball_enumerate(
     """BFS sphere sizes from the identity, using generators and inverses.
 
     Each generator is a pair (group element, lattice vector); its inverse is
-    (inverse element, negated vector).  A state (g, v) is one int64 code,
+    (inverse element, negated vector).  A state (g, v) is one code,
     g * (2r+1)^rank + the base-(2r+1) code of v shifted by r, where r bounds
-    every coordinate inside the ball (the radius, for unit vectors), or the
-    row (g, v + r) where that code would overflow.
+    every coordinate inside the ball (the radius, for unit vectors); it is a
+    Python int where the codes would overflow int64.  Rank 0 is the Cayley
+    graph of the group itself.
     """
     pairs = [(int(g), tuple(int(c) for c in vec)) for g, vec in generators]
     # each generator and its inverse, in order of first occurrence
@@ -268,18 +257,18 @@ def group_ball_enumerate(
     steps = np.array([v for _, v in gens], dtype=np.int64).reshape(len(gens), rank)
     # a state within `radius` steps has every coordinate in [-reach, reach]
     reach = max(radius, 0) * int(np.abs(steps).max(initial=0))
-    # state: the row (element, vector + reach), or its mixed-radix code
+    # state: the mixed-radix code of (element, vector + reach)
     places = _places([group.size] + [2 * reach + 1] * rank)
-    shifts = steps @ places[1:]
+    shifts = steps.astype(places.dtype, copy=False) @ places[1:]
 
     def advance(states):
-        g = states[:, 0] if states.ndim == 2 else states // places[0]
-        jump = group.products(g[:, None], elems) - g[:, None]
+        g = (states // places[0]).astype(np.int64, copy=False)
+        jump = (group.products(g[:, None], elems) - g[:, None]).astype(places.dtype, copy=False)
         moved = states[:, None] + np.multiply.outer(jump, places[0]) + shifts
-        return moved.reshape(-1, *states.shape[1:])
+        return moved.ravel()
 
-    start = np.array([0] + [reach] * rank, dtype=np.int64) @ places
-    levels = _bfs_levels(start[None], advance, budget, "ball enumeration")
+    start = np.array([[0] + [reach] * rank], dtype=places.dtype) @ places
+    levels = _bfs_levels(start, advance, budget, "ball enumeration")
     spheres = [len(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
     return BallEnumeration(list(gens), radius, spheres, sum(spheres))
 
@@ -327,12 +316,12 @@ _DECODE_CHUNK = 1 << 14  # codes decoded per step of a WindowOrbit iteration
 class WindowOrbit(Set):
     """The words of a window orbit closure as a read-only set of tuples.
 
-    The words are held as one ascending array of their int64 codes (the
+    The words are held as one ascending array of their codes (the
     base-`width` code of each letter's offset from `lo`, with place values
-    `places`), or, where those codes would overflow int64, as lexsorted rows
-    of offsets.  `len` and membership never decode (membership binary-searches
-    the codes or the rows); iteration decodes tuples chunk by chunk, in code
-    order.  Set operations return plain sets.
+    `places`): int64, or Python ints in an object array where those codes
+    would overflow int64.  `len` and membership never decode (membership
+    binary-searches the codes); iteration decodes tuples chunk by chunk, in
+    code order.  Set operations return plain sets.
     """
 
     __slots__ = ("lo", "width", "places", "length", "_states")
@@ -354,9 +343,6 @@ class WindowOrbit(Set):
         if len(offsets) != self.length or not all(0 <= x < self.width for x in offsets):
             return False
         states = self._states
-        if states.ndim == 2:  # lexsorted rows: list order is row order
-            i = bisect.bisect_left(states, offsets, key=np.ndarray.tolist)
-            return i < len(states) and states[i].tolist() == offsets
         code = sum(map(operator.mul, offsets, self.places.tolist()))
         i = states.searchsorted(code)
         return bool(i < len(states) and states[i] == code)
@@ -378,8 +364,8 @@ def reflection_orbit_closure(word: Sequence[int], margin: int = 8, max_states: i
     window [min - margin, max + margin], as a read-only `WindowOrbit` set of
     letter tuples; raises BudgetExceededError when it has more than
     max(max_states, 1) words.  A word is the base-(window width) code of its
-    letters' offsets from the window's lower end, or the row of those
-    offsets where the code would overflow int64."""
+    letters' offsets from the window's lower end, a Python int where the
+    codes would overflow int64."""
     start = tuple(int(a) for a in word)
     n = len(start)
     lo = min(start, default=0) - margin
@@ -396,15 +382,15 @@ def reflection_orbit_closure(word: Sequence[int], margin: int = 8, max_states: i
             # add +-(x - y) to both letters; one new letter may leave the window
             for shift, end in ((x - y, 2 * x - y), (y - x, 2 * y - x)):
                 ok = (end >= 0) & (end < width)
-                moved.append(states[ok] + np.multiply.outer(shift[ok], units[pos]))
+                step = shift[ok].astype(places.dtype, copy=False)
+                moved.append(states[ok] + np.multiply.outer(step, units[pos]))
         return np.concatenate(moved)
 
-    first = (np.array(start, dtype=np.int64) - lo) @ places
+    first = (np.array([start], dtype=np.int64) - lo).astype(places.dtype, copy=False) @ places
     # a word is always in its own closure, whatever max_states
-    levels = _bfs_levels(first[None], advance, max(max_states, 1), "reflection orbit closure")
+    levels = _bfs_levels(first, advance, max(max_states, 1), "reflection orbit closure")
     # the levels are disjoint, so one sort of all of them orders the orbit
-    states = np.concatenate(list(itertools.takewhile(len, levels)))
-    states = states[np.lexsort(states.T[::-1])] if states.ndim == 2 else np.sort(states)
+    states = np.sort(np.concatenate(list(itertools.takewhile(len, levels))))
     return WindowOrbit(states, lo, width, places, n)
 
 

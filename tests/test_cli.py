@@ -594,6 +594,17 @@ class TestOtherCommands:
             "length": 3,
         }
 
+    def test_negative_first_letter_needs_the_equals_form(self, capsys):
+        code, out, _ = run_cli(["invariants", "--word=-6,-2,-2", "--infinite", "--format", "json"], capsys)
+        assert code == 0
+        inv = json.loads(out)["invariants"]
+        assert (inv["weight"], inv["density"], inv["anchor"]) == (-6, 4, 2)
+        # with a space, argparse reads the letters as an option
+        with pytest.raises(SystemExit) as exit_info:
+            main(["invariants", "--word", "-6,-2,-2", "--infinite"])
+        assert exit_info.value.code == 2
+        assert "argument --word: expected one argument" in capsys.readouterr().err
+
     def test_word_requires_modulus_or_infinite(self, capsys):
         code, _, err = run_cli(["invariants", "--word", "1,2"], capsys)
         assert code == 2

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ybe_growth import oracle
 from ybe_growth.algebra import (
     FiniteGroupTable,
     Permutation,
     QuandleSolution,
     dihedral_reflections,
     full_conjugation_solution,
+    generic_length_series,
     make_dihedral_group,
     make_symmetric_group,
     reflection_solution,
@@ -310,6 +312,27 @@ def _conjugation(make, d, subset):
     return group, conjugation_ball_generators(group, subset(group))
 
 
+def _rank_zero(make, d, subset):
+    """Generators (x, ()) in G x Z^0: the Cayley graph of G itself."""
+    group = make(d)
+    return group, [(x, ()) for x in subset(group)]
+
+
+def _level_dtypes(monkeypatch) -> set:
+    """The dtypes of every BFS level from here on, in a set that fills as
+    the oracles run."""
+    dtypes = set()
+    search = oracle._bfs_levels
+
+    def spy(*args):
+        for level in search(*args):
+            dtypes.add(level.dtype)
+            yield level
+
+    monkeypatch.setattr(oracle, "_bfs_levels", spy)
+    return dtypes
+
+
 BALL_CASES = {
     "D10-full": (lambda: _conjugation(make_dihedral_group, 10, lambda g: range(1, g.size)), 4, _table_ops),
     "S4-full": (lambda: _conjugation(make_symmetric_group, 4, lambda g: range(1, g.size)), 4, _table_ops),
@@ -323,6 +346,14 @@ BALL_CASES = {
         lambda: _conjugation(make_symmetric_group, 7, symmetric_transpositions), 3, _permutation_ops
     ),
     "Z2-rank40": (_cyclic_lattice, 2, _table_ops),
+    # rank 0, past the diameter 4 of S5's transposition graph
+    "S5-transpositions-rank0": (
+        lambda: _rank_zero(make_symmetric_group, 5, symmetric_transpositions), 6, _table_ops
+    ),
+    # rank 0, one reflection of D7: a subgroup of order 2
+    "D7-one-reflection-rank0": (
+        lambda: _rank_zero(make_dihedral_group, 7, lambda g: dihedral_reflections(g)[:1]), 3, _table_ops
+    ),
 }
 
 
@@ -342,6 +373,24 @@ class TestBallsAgainstReference:
         group, gens = _cyclic_lattice()
         radius = BALL_CASES["Z2-rank40"][1]
         assert group.size * (2 * radius + 1) ** len(gens[0][1]) >= 2**63
+
+    def test_overflow_codes_are_python_ints(self, monkeypatch):
+        dtypes = _level_dtypes(monkeypatch)
+        make, radius, _ = BALL_CASES["Z2-rank40"]
+        group, gens = make()
+        group_ball_enumerate(gens, group, radius)
+        assert dtypes == {np.dtype(object)}
+
+    @pytest.mark.parametrize(
+        "case, covered", [("S5-transpositions-rank0", True), ("D7-one-reflection-rank0", False)]
+    )
+    def test_rank_zero_length_series(self, case, covered):
+        make, radius, ops = BALL_CASES[case]
+        group, gens = make()
+        series, reached = generic_length_series(group, [x for x, _ in gens], radius)
+        assert list(series.coeffs) == _reference_spheres(gens, *ops(group), radius)
+        assert series.coeffs[-2:] == (0, 0)  # the radius passes the diameter
+        assert reached is covered
 
     @pytest.mark.parametrize("case", ["D10-full", "Z2-rank40"])
     def test_budget_edge(self, case):
@@ -485,20 +534,32 @@ class TestWindowClosureAgainstReference:
 
     @pytest.mark.parametrize("word, margin", LONG_WORDS)
     def test_row_membership_matches_a_scan(self, word, margin):
-        # the binary search over lexsorted rows answers as a scan of every row
+        # the binary search over Python-int codes answers as a scan of every
+        # decoded word
         closure = reflection_orbit_closure(word, margin)
-        rows = closure._states
-        assert rows.ndim == 2
-        for member in itertools.islice(closure, 0, None, len(closure) // 50 + 1):
+        assert closure._states.dtype == object
+        words = list(closure)
+        for member in words[:: len(words) // 50 + 1]:
             for pos in range(len(member)):
                 for step in (-1, 0, 1):
                     query = member[:pos] + (member[pos] + step,) + member[pos + 1 :]
-                    offsets = np.array(query) - closure.lo
-                    assert (query in closure) == bool((rows == offsets).all(axis=1).any())
+                    assert (query in closure) == (query in words)
 
     @pytest.mark.parametrize("word, margin", LONG_WORDS)
-    def test_long_words_take_the_row_path(self, word, margin, monkeypatch):
+    def test_long_words_take_the_python_int_path(self, word, margin, monkeypatch):
         width = max(word) - min(word) + 2 * margin + 1
         assert width ** len(word) >= 2**63
         closure, ref = reflection_orbit_closure(word, margin), _reference_closure(word, margin)
         _assert_view_matches(closure, ref, monkeypatch, stride=len(ref) // 100 + 1)
+
+    def test_benchmark_sizes_keep_int64_codes(self, monkeypatch):
+        # the recorded window words at margin 12, and the D10 ball, stay on
+        # the int64 path
+        dtypes = _level_dtypes(monkeypatch)
+        for words in WINDOW_WORDS.values():
+            for text in words:
+                assert reflection_orbit_closure(json.loads(text), margin=12)._states.dtype == np.int64
+        make, radius, _ = BALL_CASES["D10-full"]
+        group, gens = make()
+        group_ball_enumerate(gens, group, radius)
+        assert dtypes == {np.dtype(np.int64)}
