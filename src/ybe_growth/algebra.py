@@ -862,6 +862,26 @@ class SetPartition:
             raise ValueError("blocks do not partition the ground set")
         return cls(norm, ground_size)
 
+    @classmethod
+    def from_edges(cls, edges: Iterable[tuple[int, int]], ground_size: int) -> "SetPartition":
+        """Connected components of the graph on {0..n-1} with these edges,
+        singletons included."""
+        parent = list(range(ground_size))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in edges:
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+        blocks: dict[int, list[int]] = {}
+        for x in range(ground_size):
+            blocks.setdefault(find(x), []).append(x)
+        return cls.from_blocks(blocks.values(), ground_size)
+
     @property
     def block_count(self) -> int:
         return len(self.blocks)
@@ -877,27 +897,8 @@ class SetPartition:
         """Finest common coarsening (gluing intersecting blocks)."""
         if self.ground_size != other.ground_size:
             raise ValueError("partitions live on different ground sets")
-        parent = list(range(self.ground_size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        for part in (self.blocks, other.blocks):
-            for b in part:
-                for x in b[1:]:
-                    union(b[0], x)
-        groups: dict[int, list[int]] = {}
-        for x in range(self.ground_size):
-            groups.setdefault(find(x), []).append(x)
-        return SetPartition.from_blocks(groups.values(), self.ground_size)
+        edges = [(b[0], x) for part in (self.blocks, other.blocks) for b in part for x in b[1:]]
+        return SetPartition.from_edges(edges, self.ground_size)
 
     def __str__(self):
         return "{" + ", ".join("{" + ",".join(str(x + 1) for x in b) + "}" for b in self.blocks) + "}"

@@ -71,6 +71,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one line `error: <message>`, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _budget(args, default: int = DEFAULT_STATE_BUDGET) -> int:
     if args.budget_states is not None:
         source, budget = "--budget-states", args.budget_states
@@ -189,11 +196,13 @@ def cmd_monoid(args) -> int:
     if family == "transpositions":
         closed = monoid_growth_transpositions(d)
         coeffs = expand_rational(closed, order).integer_coefficients()
-        sol = transposition_solution(d)
+        if args.verify:  # only the oracle reads the quandle's table
+            sol = transposition_solution(d)
     elif family == "reflections":
         closed = monoid_growth_reflections(d)
         coeffs = expand_rational(closed, order).integer_coefficients()
-        sol = reflection_solution(d)
+        if args.verify:
+            sol = reflection_solution(d)
     else:
         if not args.input:
             raise UsageError("custom-json needs --input pointing at an operation table")
@@ -454,7 +463,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers take the same class, so each usage error is one line
+    parser = _Parser(
         prog="ybe-growth",
         description=(
             "Growth series of structure groups and monoids of conjugation-quandle "

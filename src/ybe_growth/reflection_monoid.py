@@ -289,19 +289,26 @@ def density_of_product(t1: InvariantTuple, t2: InvariantTuple) -> int:
 # -- constructive arithmetic lemmas --------------------------------------------
 
 
-def _prime_factors(n: int) -> list[int]:
+def _factorisation(n: int) -> dict[int, int]:
+    """Prime -> exponent for |n|, primes ascending, by trial division."""
     n = abs(n)
-    out = []
+    out = {}
     p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            out[p] = e
         p += 1 if p == 2 else 2
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    return list(_factorisation(n))
 
 
 def _crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
@@ -367,9 +374,9 @@ def gcd_witnesses(a, b, c, parity: Optional[int] = None) -> np.ndarray:
     """`triple_gcd_witness` over a box: the witness of each row (a[i], b[i],
     c[i]) of three 1-D integer arrays, every row under the one parity.
 
-    Each distinct reduced pair (a/g, b/g) is solved once, and every row's
-    answer is checked.  The result is int64, or object when the inputs are
-    too large for int64 to hold every intermediate.
+    Each distinct reduced pair (a/g, b/g) is solved once per call, and
+    every row's answer is checked.  The result is int64, or object when the
+    inputs are too large for int64 to hold every intermediate.
     """
     a, b, c = _exact(a, b, c)
     if (a == b).any():
@@ -389,11 +396,6 @@ def gcd_witnesses(a, b, c, parity: Optional[int] = None) -> np.ndarray:
     return n
 
 
-# The two memos below are keyed by everything their answer depends on, so a
-# hit returns what a fresh solve would; their callers still check every answer.
-
-
-@functools.lru_cache(maxsize=8192)
 def _reduced_witness(ar: int, br: int, parity: Optional[int]) -> int:
     """Least n >= 1 solving the witness congruences for the reduced pair
     (a/g, b/g); c never enters them."""
@@ -404,7 +406,6 @@ def _reduced_witness(ar: int, br: int, parity: Optional[int]) -> int:
     return n if n >= 1 else n + mod
 
 
-@functools.lru_cache(maxsize=8192)
 def _pair_lift(x: int, a: int, d: int) -> int:
     """m with gcd(x, a + m d) = gcd(d, x, a), for x != 0."""
     g = math.gcd(d, x, a)
@@ -431,9 +432,9 @@ def coprime_lifts(values, d: int, force_odd: bool = False) -> np.ndarray:
     """`lift_to_coprime` over a box: the offsets of each row of an (N, k)
     integer array, every row under the one d and force_odd.
 
-    Each distinct (anchor, value) pair is solved once, and every row's
-    lifted values are checked.  The result is int64, or object when the
-    inputs are too large for int64 to hold every intermediate.
+    Each distinct (anchor, value) pair is solved once per call, and every
+    row's lifted values are checked.  The result is int64, or object when
+    the inputs are too large for int64 to hold every intermediate.
     """
     values = _exact(values, [d])[0]
     if values.ndim != 2 or values.shape[1] < 2:
@@ -532,20 +533,7 @@ def divisor_count(x) -> int:
     x = int(x)
     if x < 1:
         return 0
-    count = 1
-    n = x
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            count *= e + 1
-        p += 1 if p == 2 else 2
-    if n > 1:
-        count *= 2
-    return count
+    return math.prod(e + 1 for e in _factorisation(x).values())
 
 
 def divisors(n: int) -> list[int]:

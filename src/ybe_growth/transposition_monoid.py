@@ -71,23 +71,7 @@ class TranspositionWord:
 
 def word_partition(word: TranspositionWord, d: int | None = None) -> SetPartition:
     """Connected components of the word's graph, singletons included."""
-    d = word.d if d is None else d
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in word.letters:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    blocks: dict[int, list[int]] = {}
-    for x in range(d):
-        blocks.setdefault(find(x), []).append(x)
-    return SetPartition.from_blocks(blocks.values(), d)
+    return SetPartition.from_edges(word.letters, word.d if d is None else d)
 
 
 @dataclass(frozen=True)
@@ -131,34 +115,17 @@ def min_transposition_factorization(perm: Permutation) -> list[tuple[int, int]]:
 
 def fts_normal_form(perm: Permutation, m: int, d: int) -> TranspositionWord:
     """Canonical full word mapping to (perm, m): a prefix of squared chain
-    letters e_(i,i+1)^2 chosen greedily to connect the components of the
-    canonical factorization of perm, excess length absorbed as powers of
-    e_(d-1,d)^2, followed by that factorization."""
+    letters e_(k-1,k)^2, one for each block minimum k > 0 of the canonical
+    factorization's partition (joining k - 1 to k for k = 1, 2, ... connects
+    exactly these), excess length absorbed as powers of e_(d-1,d)^2,
+    followed by that factorization."""
     if not fts_image_membership(perm, m, d):
         raise ValueError(f"({perm}, {m}) is outside the full image for d={d}")
     suffix = min_transposition_factorization(perm)
     squares = (m - perm.transposition_length()) // 2
-
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in suffix:
-        ri, rj = find(i), find(j)
-        parent[max(ri, rj)] = min(ri, rj)
-    prefix: list[tuple[int, int]] = []
-    used = 0
-    for i in range(d - 1):
-        if find(i) != find(i + 1):
-            parent[max(find(i), find(i + 1))] = min(find(i), find(i + 1))
-            prefix.extend([(i, i + 1)] * 2)
-            used += 1
-    for _ in range(squares - used):
-        prefix.extend([(d - 2, d - 1)] * 2)
+    minima = [b[0] for b in SetPartition.from_edges(suffix, d).blocks[1:]]
+    prefix = [(k - 1, k) for k in minima for _ in range(2)]
+    prefix += [(d - 2, d - 1)] * (2 * (squares - len(minima)))
     word = TranspositionWord(prefix + suffix, d)
     image = fts_embed(word)
     if image.perm != perm or image.length != m:

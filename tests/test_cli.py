@@ -198,6 +198,23 @@ class TestMonoidCommand:
         assert code == 0
         assert json.loads(out)["expansion"]["coefficients"] == [1, 6, 17, 30, 38, 42]
 
+    @pytest.mark.parametrize("family, d", [("transpositions", 4), ("reflections", 5)])
+    def test_closed_form_builds_no_quandle(self, capsys, monkeypatch, family, d):
+        # only --verify reads the quandle's table
+        monkeypatch.setattr(cli, "reflection_solution", _refuse)
+        monkeypatch.setattr(cli, "transposition_solution", _refuse)
+        code, out, _ = run_cli(["monoid", "--solution", family, "--d", str(d), "--order", "4"], capsys)
+        assert code == 0 and "coefficients (orders 0..4)" in out
+
+    def test_closed_form_past_the_table_limit(self, capsys):
+        argv = ["monoid", "--solution", "reflections", "--d", "600", "--order", "4", "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["expansion"]["coefficients"] == [1, 600, 6500, 14400, 19800]
+        assert run_cli(argv + ["--verify"], capsys) == (
+            2, "", f"error: solution of size 600 exceeds the validation limit {MAX_SOLUTION_SIZE}\n"
+        )
+
     def test_custom_json(self, tmp_path, capsys):
         from ybe_growth.algebra import reflection_solution
 
@@ -603,7 +620,22 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exit_info:
             main(["invariants", "--word", "-6,-2,-2", "--infinite"])
         assert exit_info.value.code == 2
-        assert "argument --word: expected one argument" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: argument --word: expected one argument\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["monoid", "--solution", "dihedral", "--d", "3"], "error: argument --solution: invalid choice"),
+            (["verify", "--threads", "0"], "error: --threads must be at least 1"),
+        ],
+    )
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(message)
 
     def test_word_requires_modulus_or_infinite(self, capsys):
         code, _, err = run_cli(["invariants", "--word", "1,2"], capsys)

@@ -444,26 +444,12 @@ class TestDensityOfProduct:
             assert density_of_product(invariants(u), invariants(v)) == invariants(u * v).density
 
 
-def _clear_lemma_memos():
-    reflection_monoid._reduced_witness.cache_clear()
-    reflection_monoid._pair_lift.cache_clear()
-
-
 @pytest.fixture
 def unfactored(monkeypatch):
     """Patch out the factoring the lemmas' congruences come from, and yield
-    the function that undoes the patch.  Both lemma memos are cleared before
-    the patch, so no stored answer hides the fault, and again when it is
-    undone, so no answer solved under it outlives it."""
-
-    def restore():
-        monkeypatch.undo()
-        _clear_lemma_memos()
-
-    _clear_lemma_memos()
+    the function that undoes the patch."""
     monkeypatch.setattr(reflection_monoid, "_prime_factors", lambda n: ())
-    yield restore
-    restore()
+    yield monkeypatch.undo
 
 
 class TestArithmeticLemmas:
@@ -495,13 +481,14 @@ class TestArithmeticLemmas:
     def test_lift_repeated_prime_anchors(self, anchor, d):
         # anchors with p^2 | x, or with p | gcd but p still dividing x / gcd
         box = range(-12, 13)
-        cases = [(anchor, v) for v in box] + [(anchor, u, v) for u, v in iproduct(box, repeat=2)]
+        boxes = [[(anchor, v) for v in box], [(anchor, u, v) for u, v in iproduct(box, repeat=2)]]
         for force_odd in (False, True) if d % 2 else (False,):
-            for values in cases:
-                m = lift_to_coprime(values, d, force_odd)
-                final = [v + mi * d for v, mi in zip(values, m)]
-                assert math.gcd(*final) == math.gcd(d, *values)
-                assert not force_odd or all(v % 2 for v in final)
+            for rows in boxes:  # one box call per arity
+                offsets = coprime_lifts(np.array(rows), d, force_odd).tolist()
+                for values, m in zip(rows, offsets):
+                    final = [v + mi * d for v, mi in zip(values, m)]
+                    assert math.gcd(*final) == math.gcd(d, *values)
+                    assert not force_odd or all(v % 2 for v in final)
 
     def test_witness_checks_its_answer(self, unfactored):
         # without the prime constraints the CRT answer n = 1 gives gcd(2, 4) = 2
@@ -519,7 +506,7 @@ class TestArithmeticLemmas:
         with pytest.raises(AssertionError):
             triple_gcd_witness(1, 3, 1)
         unfactored()
-        # no answer solved without the primes survives in the memos
+        # with the factoring back, the same calls solve and pass their checks
         assert lift_to_coprime([2, 4], 1) == [0, 1]
         assert coprime_lifts([[0, 0], [2, 4], [0, 0]], 1).tolist() == [[1, 1], [0, 1], [1, 1]]
         n = triple_gcd_witness(1, 3, 1)
@@ -787,7 +774,15 @@ class TestMonoidGrowth:
         from fractions import Fraction
 
         assert divisor_count(Fraction(5, 2)) == 0
+        assert divisor_count(Fraction(12, 1)) == divisor_count(12.0) == 6
+        assert divisor_count(2.5) == divisor_count(0) == divisor_count(-4) == 0
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
+
+    def test_totient_and_divisor_count_by_brute_force(self):
+        for n in range(1, 3001):
+            k = np.arange(1, n + 1)
+            assert euler_phi(n) == np.count_nonzero(np.gcd(k, n) == 1)
+            assert divisor_count(n) == np.count_nonzero(n % k == 0)
 
 
 class TestGroupInvariantExtension:

@@ -66,6 +66,14 @@ class TestWordPartition:
             after = word_partition(tw([pair_of[k] for k in moved], 4))
             assert before == after
 
+    def test_matches_component_search(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            d = rng.randint(2, 8)
+            pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+            word = tw([rng.choice(pairs) for _ in range(rng.randint(0, 2 * d))], d)
+            assert word_partition(word).blocks == _bfs_components(word.letters, d)
+
     def test_product_partition_is_join(self):
         rng = random.Random(2)
         for _ in range(100):
@@ -74,6 +82,25 @@ class TestWordPartition:
             u = tw([rng.choice(pairs) for _ in range(rng.randint(0, 4))], d)
             v = tw([rng.choice(pairs) for _ in range(rng.randint(0, 4))], d)
             assert word_partition(u * v) == word_partition(u).join(word_partition(v))
+
+
+def _bfs_components(letters, d):
+    """Reference partition: breadth-first search from each unseen point."""
+    neighbours = [set() for _ in range(d)]
+    for i, j in letters:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    blocks, seen = [], set()
+    for start in range(d):
+        if start in seen:
+            continue
+        block, frontier = {start}, [start]
+        while frontier:
+            frontier = [y for x in frontier for y in neighbours[x] if y not in block]
+            block.update(frontier)
+        seen |= block
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 class TestEmbedding:
@@ -181,6 +208,18 @@ class TestNormalForm:
         again = fts_normal_form(fts_embed(word).perm, fts_embed(word).length, 4)
         assert word == again
 
+    def test_matches_greedy_reference(self):
+        # every (perm, m) of the image for 2 <= d <= 6 and m <= 2d + 5
+        words = 0
+        for d in range(2, 7):
+            for images in itertools.permutations(range(d)):
+                perm = Permutation(images)
+                for m in range(1, 2 * d + 6):
+                    if fts_image_membership(perm, m, d):
+                        assert fts_normal_form(perm, m, d).letters == _greedy_normal_form(perm, m, d)
+                        words += 1
+        assert words == 5174
+
     def test_orbit_equal_to_other_representatives(self):
         sol = transposition_solution(3)
         pair_of = dict(enumerate(sol.labels))
@@ -195,6 +234,30 @@ class TestNormalForm:
                 nf = fts_normal_form(image.perm, image.length, 3)
                 encoded = tuple(index_of[p] for p in nf.letters)
                 assert enum.same_orbit(rep, encoded)
+
+
+def _greedy_normal_form(perm, m, d):
+    """Reference normal form: a union-find over the canonical factorization,
+    then one square e_(i,i+1)^2 for each i whose join to i + 1 merges two
+    components, in order of i."""
+    suffix = min_transposition_factorization(perm)
+    squares = (m - perm.transposition_length()) // 2
+    parent = list(range(d))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in suffix:
+        parent[find(j)] = find(i)
+    prefix = []
+    for i in range(d - 1):
+        if find(i) != find(i + 1):
+            parent[find(i + 1)] = find(i)
+            prefix += [(i, i + 1)] * 2
+    prefix += [(d - 2, d - 1)] * (2 * squares - len(prefix))
+    return tuple(prefix + suffix)
 
 
 def _random_perms(rng, d, count):
