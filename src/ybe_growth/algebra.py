@@ -395,7 +395,7 @@ def class_product_table(
     return table
 
 
-def _bits(mask: int) -> Iterable[int]:
+def mask_bits(mask: int) -> Iterable[int]:
     """Indices of the set bits of a class mask, ascending."""
     while mask:
         low = mask & -mask
@@ -490,27 +490,27 @@ class ClassAlgebra:
         out = self._products.get(key)
         if out is None:
             out = 0
-            for i in _bits(mask):
+            for i in mask_bits(mask):
                 out |= self.table[i][cls]
             self._products[key] = out
         return out
 
     def mask_product(self, left: int, right: int) -> int:
         out = 0
-        for j in _bits(right):
+        for j in mask_bits(right):
             out |= self.mask_times_class(left, j)
         return out
 
     def mask_size(self, mask: int) -> int:
         total = self._sizes.get(mask)
         if total is None:
-            total = sum(self.sizes[i] for i in _bits(mask))
+            total = sum(self.sizes[i] for i in mask_bits(mask))
             self._sizes[mask] = total
         return total
 
     def members(self, mask: int) -> list[int]:
         """The elements of the classes in mask, ascending."""
-        return sorted(x for i in _bits(mask) for x in self.dec.classes[i])
+        return sorted(x for i in mask_bits(mask) for x in self.dec.classes[i])
 
     def defect_of_mask(self, mask: int) -> int:
         """|[G,G]| minus the number of elements in the classes of mask."""

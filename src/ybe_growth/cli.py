@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments and formats library results.
 
 Subcommands: group, monoid, defect-table, egf, normal-form, invariants,
 verify.  Output is deterministic: two runs with the same configuration
@@ -25,6 +25,7 @@ from .algebra import (
     SymmetricClasses,
     make_dihedral_group,
     make_symmetric_group,
+    mask_bits,
     dihedral_reflections,
     symmetric_transpositions,
     reflection_solution,
@@ -36,6 +37,7 @@ from .group_growth import (
     as_reflections_group_gf,
     as_transpositions_group_gf,
     defect_series,
+    nonzero_defects,
 )
 from .oracle import (
     BudgetExceededError,
@@ -266,19 +268,18 @@ def cmd_defect_table(args) -> int:
         group = make_dihedral_group(d)
     else:
         raise UsageError("defect-table supports permutations or dihedral")
-    algebra = group.class_algebra()
-    count, table = algebra.count, algebra.table
     budget = _budget(args, DEFAULT_DEFECT_BUDGET)
+    nonzero = [
+        {"kbar": r.exponents, "product_size": r.product_size, "defect": r.defect}
+        for r in nonzero_defects(group, order, budget)
+    ]
     result = defect_series(group, order, budget)
     report = _base_report(args, "defect-table")
     classes = [
         {"index": i, "size": len(members), "members": members}
         for i, members in enumerate(group.class_labels())
     ]
-    mult_table = [
-        [sorted(j for j in range(count) if table[a][b] >> j & 1) for b in range(count)]
-        for a in range(count)
-    ]
+    mult_table = [[list(mask_bits(cell)) for cell in row] for row in group.class_algebra().table]
     report["classes"] = classes
     report["class_product_table"] = mult_table
     report["defect_series"] = {
@@ -295,7 +296,6 @@ def cmd_defect_table(args) -> int:
             )
     if result.diagnostic:
         report["defect_series"]["diagnostic"] = result.diagnostic
-    nonzero = _nonzero_defects(algebra, order, budget)
     report["nonzero_defects"] = nonzero
     csv_rows = [["kbar", "product_size", "defect"]] + [
         [" ".join(map(str, row["kbar"])), row["product_size"], row["defect"]] for row in nonzero
@@ -310,51 +310,6 @@ def cmd_defect_table(args) -> int:
     text.append(f"nonzero defects up to |kbar| = {order}: {len(nonzero)} entries")
     _emit(report, args, csv_rows=csv_rows, text_lines=text)
     return 0
-
-
-def _nonzero_defects(algebra, order: int, state_budget: int) -> list[dict]:
-    """Rows of every non-negative exponent vector with |kbar| <= order and a
-    nonzero defect.  The walk carries the product mask, so each step is one
-    (memoised) mask-times-class product.
-
-    A branch ends as soon as its mask is saturated, that is, holds
-    |[G,G]| elements.  G/[G,G] is abelian, so each class lies in one coset
-    of [G,G], and so does every product of classes; a product of full size
-    is therefore the whole coset, and a whole coset times any class is again
-    a whole coset.  Every extension of a saturated mask, the larger powers
-    of the current class included, has defect 0 and lists no row.
-
-    Each walk node is charged to state_budget * 10, the allowance the
-    defect series gives its truncated self-check; past it the listing
-    raises BudgetExceededError.
-    """
-    out: list[dict] = []
-    kbar: list[int] = []
-    target, limit = algebra.commutator_size, state_budget * 10
-    nodes = 0
-
-    def rec(i: int, used: int, mask: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise BudgetExceededError(f"defect listing exceeded {limit} walk nodes")
-        if i == algebra.count:
-            size = algebra.mask_size(mask)
-            out.append({"kbar": list(kbar), "product_size": size, "defect": target - size})
-            return
-        for k in range(order - used + 1):
-            if k:
-                mask = algebra.mask_times_class(mask, i)
-            if algebra.mask_size(mask) == target:
-                return
-            kbar.append(k)
-            rec(i + 1, used + k, mask)
-            kbar.pop()
-
-    if algebra.mask_size(1) != target:
-        rec(1, 0, 1)
-    out.sort(key=lambda row: (sum(row["kbar"]), row["kbar"]))
-    return out
 
 
 def cmd_egf(args) -> int:

@@ -1,6 +1,6 @@
 """Growth series of structure groups: the class-2 lift, Solomon's product,
-closed forms for transposition and reflection solutions, and the defect-series
-engine for full conjugation solutions.
+closed forms for transposition and reflection solutions, and the defect engine
+(measures, the nonzero-defect listing, the series) for full conjugation solutions.
 
 The defect engine works with class-index bitmasks throughout: the group's
 cached ClassAlgebra holds the pairwise class product table, after which a
@@ -128,6 +128,43 @@ def defect_measure(group: FiniteGroupTable, kbar: Sequence[int]) -> DefectRecord
     return DefectRecord(
         tuple(int(k) for k in kbar), mask, size, algebra.commutator_size - size
     )
+
+
+def nonzero_defects(
+    group: FiniteGroupTable, order: int, state_budget: int = DEFAULT_DEFECT_BUDGET
+) -> list[DefectRecord]:
+    """The records of every non-negative kbar with |kbar| <= order and a
+    nonzero defect, sorted by (|kbar|, kbar).  Each row is one budgeted
+    state; past state_budget rows the listing raises BudgetExceededError.
+
+    Each kbar is visited once, its support growing class by class with the
+    product mask carried along.  A run of powers of one class stops at its
+    first mask of |[G,G]| elements: a class, hence a product of classes,
+    lies in one coset of [G,G], which that mask and its extensions fill.
+    """
+    algebra = group.class_algebra()
+    target, count = algebra.commutator_size, algebra.count
+    out, kbar = [], [0] * (count - 1)
+
+    def visit(start: int, used: int, mask: int) -> None:
+        if len(out) >= state_budget:
+            raise BudgetExceededError(f"defect listing exceeded {state_budget} rows")
+        size = algebra.mask_size(mask)
+        out.append(DefectRecord(tuple(kbar), mask, size, target - size))
+        for i in range(start, count):
+            power = mask
+            for k in range(1, order - used + 1):
+                power = algebra.mask_times_class(power, i)
+                if algebra.mask_size(power) == target:
+                    break
+                kbar[i - 1] = k
+                visit(i + 1, used + k, power)
+            kbar[i - 1] = 0
+
+    if algebra.mask_size(1) != target:
+        visit(1, 0, 1)
+    out.sort(key=lambda record: (sum(record.exponents), record.exponents))
+    return out
 
 
 @dataclass(frozen=True)

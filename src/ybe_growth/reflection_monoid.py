@@ -537,7 +537,11 @@ def divisor_count(x) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    return [c for c in range(1, n + 1) if n % c == 0]
+    """The divisors of n >= 1, ascending."""
+    out = [1]
+    for p, e in _factorisation(n).items():
+        out = [c * p**j for c in out for j in range(e + 1)]
+    return sorted(out)
 
 
 def frs_growth_gf(d: int) -> RationalGF:
@@ -565,7 +569,8 @@ def monoid_growth_reflections(d: int) -> RationalGF:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    s2 = sum(Fraction(euler_phi(c), c) for c in divisors(d))
+    levels = divisors(d)
+    s2 = sum(Fraction(euler_phi(c), c) for c in levels)
     tau_d = divisor_count(d)
     tau_half = divisor_count(Fraction(d, 2))
     head = ONE + Polynomial([d]).shift(1) + Polynomial([d * s2]).shift(2)
@@ -576,7 +581,7 @@ def monoid_growth_reflections(d: int) -> RationalGF:
     )
     formula = RationalGF(num, ONE_MINUS_T**2)
     via_levels = RationalGF(ONE)
-    for c in divisors(d):
+    for c in levels:
         via_levels = via_levels + RationalGF(Polynomial([d // c])) * frs_growth_gf(c)
     if formula != via_levels:
         raise AssertionError(f"the two reflection-monoid growth routes disagree at d={d}")

@@ -13,8 +13,8 @@ import ybe_growth
 from test_algebra import _commutator_length_two_group, _cyclic_group
 from ybe_growth import algebra, cli
 from ybe_growth.algebra import MAX_SOLUTION_SIZE, make_dihedral_group, make_symmetric_group
-from ybe_growth.cli import _nonzero_defects, main
-from ybe_growth.group_growth import DEFAULT_DEFECT_BUDGET, as_full_conjugation_gf
+from ybe_growth.cli import main
+from ybe_growth.group_growth import as_full_conjugation_gf, nonzero_defects
 from ybe_growth.oracle import BudgetExceededError
 
 
@@ -443,23 +443,34 @@ class TestDefectTable:
         assert err == "error: --format csv is supported by defect-table only\n"
 
     def test_listing_budget(self, capsys):
-        # D30 at order 6: the closed-form extraction falls back to the
-        # truncated check at these budgets, and the listing walks 138,989
-        # nodes against an allowance of ten per budgeted state
+        # D30 at order 6 lists 25,177 rows, one budgeted state each
         args = ["defect-table", "--solution", "dihedral", "--d", "30", "--format", "json"]
-        for budget in (10000, 13898):
+        for budget in (10000, 25176):
             code, out, err = run_cli(args + ["--budget-states", str(budget)], capsys)
             assert code == 3 and out == ""
-            assert err == f"budget exceeded: defect listing exceeded {budget * 10} walk nodes\n"
-        code, out, _ = run_cli(args + ["--budget-states", "13899"], capsys)
+            assert err == f"budget exceeded: defect listing exceeded {budget} rows\n"
+        code, out, _ = run_cli(args + ["--budget-states", "25177"], capsys)
         assert code == 0 and len(json.loads(out)["nonzero_defects"]) == 25177
 
+    def test_listing_runs_before_the_series(self, capsys, monkeypatch):
+        # a budget too short for the listing fails before the defect series
+        def series(*args):
+            raise AssertionError("the defect series ran before the listing")
+
+        monkeypatch.setattr(cli, "defect_series", series)
+        code, out, err = run_cli(
+            ["defect-table", "--solution", "dihedral", "--d", "30", "--budget-states", "100"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err == "budget exceeded: defect listing exceeded 100 rows\n"
+
     def test_s7_walk_size(self):
-        # 807 walk nodes for 141 rows, where the unpruned walk makes 116,280
-        algebra = make_symmetric_group(7).class_algebra()
+        # one walk node per row: 141 rows, where the unpruned walk makes 116,280
+        group = make_symmetric_group(7)
         with pytest.raises(BudgetExceededError):
-            _nonzero_defects(algebra, 6, 80)
-        assert len(_nonzero_defects(algebra, 6, 81)) == 141
+            nonzero_defects(group, 6, 140)
+        assert len(nonzero_defects(group, 6, 141)) == 141
 
 
 def _reference_walk(algebra, order):
@@ -484,6 +495,14 @@ def _reference_walk(algebra, order):
     rec(1, 0, 1)
     rows.sort(key=lambda row: (sum(row["kbar"]), row["kbar"]))
     return rows
+
+
+def _rows(group, order):
+    """The listing as the rows of the `defect-table` report."""
+    return [
+        {"kbar": list(r.exponents), "product_size": r.product_size, "defect": r.defect}
+        for r in nonzero_defects(group, order)
+    ]
 
 
 def _set_bits(mask):
@@ -515,9 +534,9 @@ WALK_GROUPS = (
 def walked(request):
     """A fresh group's class algebra and its listing at every checked order."""
     _, make, orders = request.param
-    algebra = make().class_algebra()
-    listings = {order: _nonzero_defects(algebra, order, DEFAULT_DEFECT_BUDGET) for order in orders}
-    return algebra, listings
+    group = make()
+    listings = {order: _rows(group, order) for order in orders}
+    return group.class_algebra(), listings
 
 
 class TestDefectWalk:
@@ -560,7 +579,7 @@ class TestDefectWalk:
         def met(elements):
             return sum(1 << cls for cls in {algebra.dec.class_of[x] for x in elements})
 
-        rows = _nonzero_defects(algebra, 4, DEFAULT_DEFECT_BUDGET)
+        rows = _rows(group, 4)
         for (mask, cls), product in algebra._products.items():
             members = algebra.members(mask)
             assert product == met(group.mul(x, y) for x in members for y in classes[cls])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from test_algebra import _commutator_length_two_group
 from ybe_growth.algebra import (
     Permutation,
     SymmetricClasses,
@@ -22,6 +23,7 @@ from ybe_growth.group_growth import (
     defect_measure,
     defect_series,
     is_commutator_length_one,
+    nonzero_defects,
     solomon_series,
 )
 from ybe_growth.oracle import conjugation_ball_series, full_conjugation_spheres
@@ -191,6 +193,27 @@ class TestDefectMeasure:
 
         for kbar in itertools.product(range(3), repeat=dec.count - 1):
             assert defect_measure(group, kbar).defect >= 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_symmetric_group(5), lambda: make_dihedral_group(9),
+         lambda: _cyclic_group(6), _commutator_length_two_group],
+        ids=["S5", "D9", "Z6", "F2^4.F2^6"],
+    )
+    def test_listing_matches_measure(self, make):
+        # the listing's walk and defect_measure's product loop are two routes
+        # to each record, and every kbar the listing leaves out has defect 0
+        group = make()
+        listed = {record.exponents: record for record in nonzero_defects(group, 2)}
+        width = group.class_algebra().count - 1
+        for size in range(3):
+            for classes in itertools.combinations_with_replacement(range(width), size):
+                kbar = [0] * width
+                for i in classes:
+                    kbar[i] += 1
+                record = defect_measure(group, kbar)
+                assert listed.pop(record.exponents, None) == (record if record.defect else None)
+        assert not listed
 
 
 class TestDefectSeries:

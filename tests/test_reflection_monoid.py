@@ -783,6 +783,7 @@ class TestMonoidGrowth:
             k = np.arange(1, n + 1)
             assert euler_phi(n) == np.count_nonzero(np.gcd(k, n) == 1)
             assert divisor_count(n) == np.count_nonzero(n % k == 0)
+            assert divisors(n) == k[n % k == 0].tolist()
 
 
 class TestGroupInvariantExtension:
