@@ -59,7 +59,7 @@ from .transposition_monoid import (
     egf_transposition_monoids,
     monoid_growth_transpositions,
 )
-from .verification import run_criteria
+from .verification import run_criteria, verdict
 
 # largest S_d of `group --solution permutations`, whose class algebra comes
 # from partitions: S_12 (77 classes) takes about 6 s at order 4, most of it in
@@ -67,6 +67,8 @@ from .verification import run_criteria
 MAX_PERMUTATIONS_D = 12
 GROUP_FAMILIES = ("transpositions", "permutations", "reflections", "dihedral")
 MONOID_FAMILIES = ("transpositions", "reflections", "custom-json")
+# the text word and exit code of each formula-vs-oracle verdict
+OUTCOMES = {True: ("PASS", 0), False: ("FAIL", 1), None: ("INCOMPLETE", 3)}
 
 
 class UsageError(Exception):
@@ -131,33 +133,29 @@ def cmd_group(args) -> int:
         raise UsageError(f"permutations supported for 1 <= d <= {MAX_PERMUTATIONS_D}")
     if args.verify and family in ("transpositions", "permutations") and d > MAX_ELEMENTS_D:
         raise UsageError(f"--verify on {family} supported for d <= {MAX_ELEMENTS_D}")
-    closed = None
-    if family == "transpositions":
+    # (closed form, group builder, generating subset) of the transposition
+    # and reflection quandles
+    forms = {
+        "transpositions": (
+            as_transpositions_group_gf, make_symmetric_group, symmetric_transpositions
+        ),
+        "reflections": (as_reflections_group_gf, make_dihedral_group, dihedral_reflections),
+    }
+    if family in forms:
+        closed_form, build, generators = forms[family]
         if d < 2:
-            raise UsageError("transpositions need d >= 2")
-        closed = as_transpositions_group_gf(d)
+            raise UsageError(f"{family} need d >= 2")
+        closed = closed_form(d)
         expansion = expand_rational(closed, order)
         if args.verify:
-            group = make_symmetric_group(d)
-            oracle = conjugation_ball_series(
-                group, symmetric_transpositions(group), order, _budget(args)
-            )
-    elif family == "reflections":
-        if d < 2:
-            raise UsageError("reflections need d >= 2")
-        closed = as_reflections_group_gf(d)
-        expansion = expand_rational(closed, order)
-        if args.verify:
-            group = make_dihedral_group(d)
-            oracle = conjugation_ball_series(
-                group, dihedral_reflections(group), order, _budget(args)
-            )
+            group = build(d)
+            oracle = conjugation_ball_series(group, generators(group), order, _budget(args))
     else:
         if family == "permutations":
             group = SymmetricClasses(d)
         else:
             group = make_dihedral_group(d)
-        result = as_full_conjugation_gf(group, order)
+        result = as_full_conjugation_gf(group, order, _budget(args, DEFAULT_DEFECT_BUDGET))
         closed = result.closed_form
         expansion = result.truncated
         report["defect"] = {
@@ -181,11 +179,10 @@ def cmd_group(args) -> int:
         text.append(f"closed form: {closed!r}")
     exit_code = 0
     if args.verify:
-        verdict = list(oracle) == coeffs
-        report["oracle"] = {"spheres": list(oracle), "passed": verdict}
-        text.append(f"oracle spheres: {list(oracle)} -> {'PASS' if verdict else 'FAIL'}")
-        if not verdict:
-            exit_code = 1
+        passed = verdict(oracle, coeffs)
+        report["oracle"] = {"spheres": list(oracle), "passed": passed}
+        outcome, exit_code = OUTCOMES[passed]
+        text.append(f"oracle spheres: {list(oracle)} -> {outcome}")
     _emit(report, args, text_lines=text)
     return exit_code
 
@@ -194,17 +191,17 @@ def cmd_monoid(args) -> int:
     family, d, order = args.solution, args.d, args.order
     report = _base_report(args, "monoid")
     text = [f"growth series of the structure monoid ({family}, d={d})"]
-    closed = None
-    if family == "transpositions":
-        closed = monoid_growth_transpositions(d)
+    # (closed form, quandle builder) of the shipped families
+    forms = {
+        "transpositions": (monoid_growth_transpositions, transposition_solution),
+        "reflections": (monoid_growth_reflections, reflection_solution),
+    }
+    if family in forms:
+        closed_form, build = forms[family]
+        closed = closed_form(d)
         coeffs = expand_rational(closed, order).integer_coefficients()
         if args.verify:  # only the oracle reads the quandle's table
-            sol = transposition_solution(d)
-    elif family == "reflections":
-        closed = monoid_growth_reflections(d)
-        coeffs = expand_rational(closed, order).integer_coefficients()
-        if args.verify:
-            sol = reflection_solution(d)
+            sol = build(d)
     else:
         if not args.input:
             raise UsageError("custom-json needs --input pointing at an operation table")
@@ -225,7 +222,7 @@ def cmd_monoid(args) -> int:
     if coeffs is not None:
         report["expansion"] = {"order": order, "coefficients": coeffs}
         text.append(f"coefficients (orders 0..{order}): {coeffs}")
-        if args.closed_form and closed is not None:
+        if args.closed_form:
             report["closed_form"] = closed.to_json()
             text.append(f"closed form: {closed!r}")
     if args.verify or coeffs is None:
@@ -244,14 +241,8 @@ def cmd_monoid(args) -> int:
             # fails on the checked prefix or is incomplete (exit 3)
             checked = enum.max_length
             report["oracle"]["checked_through"] = checked
-            if counts != coeffs[: checked + 1]:
-                verdict, exit_code = False, 1
-            elif checked < order:
-                verdict, exit_code = None, 3
-            else:
-                verdict = True
-            report["oracle"]["passed"] = verdict
-            outcome = {True: "PASS", False: "FAIL", None: "INCOMPLETE"}[verdict]
+            report["oracle"]["passed"] = passed = verdict(counts, coeffs)
+            outcome, exit_code = OUTCOMES[passed]
             text.append(f"oracle comparison: {outcome} (checked through length {checked} of {order})")
     _emit(report, args, text_lines=text)
     return exit_code
@@ -269,11 +260,12 @@ def cmd_defect_table(args) -> int:
     else:
         raise UsageError("defect-table supports permutations or dihedral")
     budget = _budget(args, DEFAULT_DEFECT_BUDGET)
-    nonzero = [
-        {"kbar": r.exponents, "product_size": r.product_size, "defect": r.defect}
-        for r in nonzero_defects(group, order, budget)
-    ]
+    nonzero = nonzero_defects(group, order, budget)
     result = defect_series(group, order, budget)
+    if args.format == "csv":
+        rows = ([" ".join(map(str, r.exponents)), r.product_size, r.defect] for r in nonzero)
+        _emit(None, args, csv_rows=[["kbar", "product_size", "defect"], *rows])
+        return 0
     report = _base_report(args, "defect-table")
     classes = [
         {"index": i, "size": len(members), "members": members}
@@ -296,10 +288,14 @@ def cmd_defect_table(args) -> int:
             )
     if result.diagnostic:
         report["defect_series"]["diagnostic"] = result.diagnostic
-    report["nonzero_defects"] = nonzero
-    csv_rows = [["kbar", "product_size", "defect"]] + [
-        [" ".join(map(str, row["kbar"])), row["product_size"], row["defect"]] for row in nonzero
-    ]
+    if args.format == "json":
+        report["nonzero_defects"] = [
+            {"kbar": r.exponents, "product_size": r.product_size, "defect": r.defect}
+            for r in nonzero
+        ]
+        del nonzero  # the records need not outlive their rows while the report is serialised
+        _emit(report, args)
+        return 0
     text = [f"conjugacy classes of {group.name}:"]
     for c in classes:
         text.append(f"  C_{c['index']} (size {c['size']}): {' '.join(c['members'])}")
@@ -308,7 +304,7 @@ def cmd_defect_table(args) -> int:
         text.append(f"  {i}: " + "  ".join(",".join(map(str, cell)) for cell in row))
     text.append(f"defect series [{result.classification}]: {result.truncated.integer_coefficients()}")
     text.append(f"nonzero defects up to |kbar| = {order}: {len(nonzero)} entries")
-    _emit(report, args, csv_rows=csv_rows, text_lines=text)
+    _emit(report, args, text_lines=text)
     return 0
 
 
@@ -325,8 +321,8 @@ def cmd_egf(args) -> int:
         entry = {"d": d, "coefficients": coeffs}
         if d <= 12:
             direct = expand_rational(monoid_growth_transpositions(d), order_t)
-            entry["matches_direct_formula"] = series == direct
-            all_ok &= entry["matches_direct_formula"]
+            entry["matches_direct_formula"] = verdict(series.coeffs, direct.coeffs)
+            all_ok &= entry["matches_direct_formula"] is True
         rows.append(entry)
     report["columns"] = rows
     report["cross_check_passed"] = all_ok
@@ -470,17 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_egf)
 
     word_help = "comma-separated letters; a negative first letter needs the = form, --word=-6,-2,-2"
-    p = sub.add_parser("normal-form", parents=[common], help="canonical form of a reflection word")
-    p.add_argument("--word", required=True, help=word_help)
-    p.add_argument("--d", type=int)
-    p.add_argument("--infinite", action="store_true")
-    p.set_defaults(fn=cmd_normal_form)
-
-    p = sub.add_parser("invariants", parents=[common], help="invariants of a reflection word")
-    p.add_argument("--word", required=True, help=word_help)
-    p.add_argument("--d", type=int)
-    p.add_argument("--infinite", action="store_true")
-    p.set_defaults(fn=cmd_invariants)
+    for name, fn, help_text in (
+        ("normal-form", cmd_normal_form, "canonical form of a reflection word"),
+        ("invariants", cmd_invariants, "invariants of a reflection word"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("--word", required=True, help=word_help)
+        p.add_argument("--d", type=int)
+        p.add_argument("--infinite", action="store_true")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", parents=[common], help="run the acceptance matrix")
     p.add_argument("--criteria", help="comma-separated criterion ids (default: all)")

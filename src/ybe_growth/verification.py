@@ -90,9 +90,32 @@ class CriterionResult:
         }
 
 
+def verdict(oracle, formula) -> Optional[bool]:
+    """The rule behind every formula-vs-oracle comparison: False when the
+    oracle's counts differ from the formula's on the orders the oracle
+    reached, None when it reached fewer orders than the formula or none at
+    all, True otherwise.  An empty or truncated comparison is never a pass."""
+    oracle, formula = list(oracle), list(formula)
+    if oracle != formula[: len(oracle)]:
+        return False
+    return True if oracle and len(oracle) >= len(formula) else None
+
+
+def _row(fields: dict, *checks) -> dict:
+    """A details row: `fields`, passed when every check is true (a verdict of
+    None is not)."""
+    return {**fields, "passed": all(checks)}
+
+
+def _result(cid: str, name: str, rows: list, **flags) -> CriterionResult:
+    """A criterion over `rows` and whole-criterion boolean `flags`, both kept
+    in its details; it passes when it has rows and every row and flag passes."""
+    passed = bool(rows) and all(row["passed"] for row in rows) and all(flags.values())
+    return CriterionResult(cid, name, passed, details={"rows": rows, **flags})
+
+
 def check_solomon() -> CriterionResult:
     rows = []
-    ok = True
     for d in range(2, 7):
         group = make_symmetric_group(d)
         gf = solomon_series(d)
@@ -100,10 +123,9 @@ def check_solomon() -> CriterionResult:
         series, covered = generic_length_series(group, symmetric_transpositions(group), order)
         expected = expand_rational(gf, order).integer_coefficients()
         actual = series.integer_coefficients()
-        good = covered and expected == actual
-        ok &= good
-        rows.append({"d": d, "expected": expected, "actual": actual, "passed": good})
-    return CriterionResult("1", "Solomon product vs Cayley BFS on S_d", ok, details={"rows": rows})
+        fields = {"d": d, "expected": expected, "actual": actual}
+        rows.append(_row(fields, covered, verdict(actual, expected)))
+    return _result("1", "Solomon product vs Cayley BFS on S_d", rows)
 
 
 def check_transposition_group() -> CriterionResult:
@@ -113,142 +135,109 @@ def check_transposition_group() -> CriterionResult:
         4: RationalGF(Polynomial([1, 1]) * Polynomial([1, 10, 13, -12]), ONE_MINUS_T),
     }
     rows = []
-    ok = True
-    for d in (2, 3, 4):
+    for d, known in known_forms.items():
         group = make_symmetric_group(d)
         gf = as_transpositions_group_gf(d)
         spheres = conjugation_ball_series(group, symmetric_transpositions(group), 6)
         expansion = expand_rational(gf, 6).integer_coefficients()
-        closed_ok = gf == known_forms[d]
-        good = closed_ok and spheres == expansion
-        ok &= good
-        rows.append(
-            {"d": d, "oracle": spheres, "expansion": expansion, "closed_form_matches": closed_ok, "passed": good}
-        )
-    return CriterionResult("2", "As(T_d) closed forms vs ball oracle", ok, details={"rows": rows})
+        closed_ok = gf == known
+        fields = {
+            "d": d, "oracle": spheres, "expansion": expansion, "closed_form_matches": closed_ok
+        }
+        rows.append(_row(fields, closed_ok, verdict(spheres, expansion)))
+    return _result("2", "As(T_d) closed forms vs ball oracle", rows)
 
 
 def check_recursion() -> CriterionResult:
     rows = []
-    ok = True
     for d in range(2, 8):
         lhs = as_transpositions_group_gf(d + 1)
         rhs = RationalGF(Polynomial([1, d])) * as_transpositions_group_gf(d) + RationalGF(
             Polynomial([0, d])
         ) * solomon_series(d)
-        good = lhs == rhs
-        ok &= good
-        rows.append({"d": d, "passed": good})
-    return CriterionResult("3", "Recursion for As(T_d) growth series", ok, details={"rows": rows})
+        rows.append(_row({"d": d}, lhs == rhs))
+    return _result("3", "Recursion for As(T_d) growth series", rows)
 
 
 def check_reflection_group() -> CriterionResult:
     rows = []
-    ok = True
     for d in range(3, 8):
         group = make_dihedral_group(d)
         spheres = conjugation_ball_series(group, dihedral_reflections(group), 6)
         expansion = expand_rational(as_reflections_group_gf(d), 6).integer_coefficients()
-        good = spheres == expansion
-        ok &= good
-        rows.append({"d": d, "oracle": spheres, "expansion": expansion, "passed": good})
-    return CriterionResult("4", "As(R_d) closed forms vs ball oracle", ok, details={"rows": rows})
+        fields = {"d": d, "oracle": spheres, "expansion": expansion}
+        rows.append(_row(fields, verdict(spheres, expansion)))
+    return _result("4", "As(R_d) closed forms vs ball oracle", rows)
 
 
 def check_defect_engine() -> CriterionResult:
+    # (group, expected classification, expected closed form or, for D9, the
+    # element whose class carries an axis ray of defect 6 on both parities:
+    # the rotation by 3, at element index 3)
+    table = (
+        (make_symmetric_group(3), "finite", RationalGF(Polynomial([2, 2]))),
+        (
+            make_symmetric_group(4),
+            "finite-plus-axis-rays",
+            RationalGF(Polynomial([11, 50, 4])) + RationalGF(Polynomial([0, 0, 32]), ONE_MINUS_T),
+        ),
+        (make_dihedral_group(5), "finite", RationalGF(Polynomial([4, 12, 12, 4]))),
+        (make_dihedral_group(9), "finite-plus-axis-rays", 3),
+    )
     rows = []
-    s3 = defect_series(make_symmetric_group(3), 8)
-    rows.append(
-        {
-            "group": "S3",
-            "classification": s3.classification,
-            "passed": s3.classification == "finite"
-            and s3.closed_form == RationalGF(Polynomial([2, 2])),
-        }
-    )
-    s4 = defect_series(make_symmetric_group(4), 8)
-    known_s4 = RationalGF(Polynomial([11, 50, 4])) + RationalGF(
-        Polynomial([0, 0, 32]), ONE_MINUS_T
-    )
-    rows.append(
-        {
-            "group": "S4",
-            "classification": s4.classification,
-            "passed": s4.classification == "finite-plus-axis-rays" and s4.closed_form == known_s4,
-        }
-    )
-    d5 = defect_series(make_dihedral_group(5), 8)
-    rows.append(
-        {
-            "group": "D5",
-            "classification": d5.classification,
-            "passed": d5.classification == "finite"
-            and d5.closed_form == RationalGF(Polynomial([4, 12, 12, 4])),
-        }
-    )
-    group9 = make_dihedral_group(9)
-    d9 = defect_series(group9, 8)
-    dec = group9.conjugacy_classes()
-    rho3_class = dec.class_of[3]  # rotation by 3 sits at element index 3
-    ray_ok = any(
-        ray.class_index == rho3_class and ray.even_defect == 6 and ray.odd_defect == 6
-        for ray in d9.axis_rays
-    )
-    rows.append(
-        {
-            "group": "D9",
-            "classification": d9.classification,
-            "ray_defect_6_along_order3_rotations": ray_ok,
-            "passed": d9.classification == "finite-plus-axis-rays" and ray_ok,
-        }
-    )
-    ok = all(r["passed"] for r in rows)
-    return CriterionResult("5", "Defect series engine", ok, details={"rows": rows})
+    for group, classification, expected in table:
+        result = defect_series(group, 8)
+        fields = {"group": group.name, "classification": result.classification}
+        if isinstance(expected, RationalGF):
+            good = result.closed_form == expected
+        else:
+            ray_class = group.conjugacy_classes().class_of[expected]
+            good = fields["ray_defect_6_along_order3_rotations"] = any(
+                ray.class_index == ray_class and ray.even_defect == 6 and ray.odd_defect == 6
+                for ray in result.axis_rays
+            )
+        rows.append(_row(fields, result.classification == classification, good))
+    return _result("5", "Defect series engine", rows)
 
 
 def check_full_conjugation() -> CriterionResult:
+    # (group, expected closed form, whether the ball oracle runs); S4's series
+    # has no closed form and is checked through its truncated defect only
+    table = (
+        (
+            make_symmetric_group(3),
+            RationalGF(Polynomial([3])) * GEOM**3 - 2 * RationalGF(ONE_PLUS_T**3),
+            True,
+        ),
+        (
+            make_dihedral_group(5),
+            RationalGF(Polynomial([5])) * GEOM**4 - 4 * RationalGF(ONE_PLUS_T**5),
+            True,
+        ),
+        (
+            make_dihedral_group(7),
+            RationalGF(Polynomial([7])) * GEOM**5
+            - 6 * RationalGF(ONE_PLUS_T**7)
+            + RationalGF(Polynomial([6]).shift(3) * ONE_PLUS_T**3),
+            False,
+        ),
+        (make_symmetric_group(4), None, True),
+    )
     rows = []
-    s3 = as_full_conjugation_gf(make_symmetric_group(3), 5)
-    rows.append(
-        {
-            "group": "S3",
-            "closed_form_matches": s3.closed_form
-            == RationalGF(Polynomial([3])) * GEOM**3 - 2 * RationalGF(ONE_PLUS_T**3),
-            "oracle": full_conjugation_spheres(make_symmetric_group(3), 5),
-            "expansion": s3.truncated.integer_coefficients(),
-        }
-    )
-    rows[-1]["passed"] = rows[-1]["closed_form_matches"] and rows[-1]["oracle"] == rows[-1]["expansion"]
-    d5 = as_full_conjugation_gf(make_dihedral_group(5), 5)
-    rows.append(
-        {
-            "group": "D5",
-            "closed_form_matches": d5.closed_form
-            == RationalGF(Polynomial([5])) * GEOM**4 - 4 * RationalGF(ONE_PLUS_T**5),
-            "oracle": full_conjugation_spheres(make_dihedral_group(5), 5),
-            "expansion": d5.truncated.integer_coefficients(),
-        }
-    )
-    rows[-1]["passed"] = rows[-1]["closed_form_matches"] and rows[-1]["oracle"] == rows[-1]["expansion"]
-    d7 = as_full_conjugation_gf(make_dihedral_group(7), 5)
-    known_d7 = (
-        RationalGF(Polynomial([7])) * GEOM**5
-        - 6 * RationalGF(ONE_PLUS_T**7)
-        + RationalGF(Polynomial([6]).shift(3) * ONE_PLUS_T**3)
-    )
-    rows.append({"group": "D7", "closed_form_matches": d7.closed_form == known_d7})
-    rows[-1]["passed"] = rows[-1]["closed_form_matches"]
-    s4 = as_full_conjugation_gf(make_symmetric_group(4), 5)
-    rows.append(
-        {
-            "group": "S4 (via truncated defect)",
-            "oracle": full_conjugation_spheres(make_symmetric_group(4), 5),
-            "expansion": s4.truncated.integer_coefficients(),
-        }
-    )
-    rows[-1]["passed"] = rows[-1]["oracle"] == rows[-1]["expansion"]
-    ok = all(r["passed"] for r in rows)
-    return CriterionResult("6", "Full conjugation growth (S_3, S_4, D_5, D_7)", ok, details={"rows": rows})
+    for group, known, with_oracle in table:
+        result = as_full_conjugation_gf(group, 5)
+        fields, checks = {"group": group.name}, []
+        if known is None:
+            fields["group"] += " (via truncated defect)"
+        else:
+            fields["closed_form_matches"] = result.closed_form == known
+            checks.append(fields["closed_form_matches"])
+        if with_oracle:
+            fields["oracle"] = full_conjugation_spheres(group, 5)
+            fields["expansion"] = result.truncated.integer_coefficients()
+            checks.append(verdict(fields["oracle"], fields["expansion"]))
+        rows.append(_row(fields, *checks))
+    return _result("6", "Full conjugation growth (S_3, S_4, D_5, D_7)", rows)
 
 
 def check_s5_numerator() -> CriterionResult:
@@ -272,14 +261,12 @@ def check_s5_numerator() -> CriterionResult:
 
 def check_transposition_monoid() -> CriterionResult:
     rows = []
-    ok = True
     for d, max_len in ((2, 7), (3, 7), (4, 6)):
         sol = transposition_solution(d)
         counts = monoid_orbit_enumerate(sol, max_len).counts
         expansion = expand_rational(monoid_growth_transpositions(d), max_len).integer_coefficients()
-        good = counts == expansion
-        ok &= good
-        rows.append({"d": d, "oracle": counts, "expansion": expansion, "passed": good})
+        fields = {"d": d, "oracle": counts, "expansion": expansion}
+        rows.append(_row(fields, verdict(counts, expansion)))
     known_g3 = RationalGF(Polynomial([1, 1]) * Polynomial([1, 1, 1]), ONE_MINUS_T)
     t_over = RationalGF(T, ONE_MINUS_T)
     known_g4 = (
@@ -292,37 +279,29 @@ def check_transposition_monoid() -> CriterionResult:
     closed_ok = (
         monoid_growth_transpositions(3) == known_g3 and monoid_growth_transpositions(4) == known_g4
     )
-    ok &= closed_ok
-    return CriterionResult(
-        "7",
-        "Transposition monoid growth vs orbit oracle",
-        ok,
-        details={"rows": rows, "closed_forms_match": closed_ok},
+    return _result(
+        "7", "Transposition monoid growth vs orbit oracle", rows, closed_forms_match=closed_ok
     )
 
 
 def check_egf() -> CriterionResult:
     egf = egf_transposition_monoids(8, 4)
     rows = []
-    ok = True
     for d in range(5):
         via_egf = egf_column(egf, d)
         direct = expand_rational(monoid_growth_transpositions(d), 8)
-        good = via_egf == direct
-        ok &= good
-        rows.append({"d": d, "coefficients": direct.integer_coefficients(), "passed": good})
-    return CriterionResult("8", "EGF columns vs per-d monoid growth", ok, details={"rows": rows})
+        fields = {"d": d, "coefficients": direct.integer_coefficients()}
+        rows.append(_row(fields, verdict(via_egf.coeffs, direct.coeffs)))
+    return _result("8", "EGF columns vs per-d monoid growth", rows)
 
 
 def check_reflection_monoid() -> CriterionResult:
     rows = []
-    ok = True
     for d in range(2, 9):
         counts = monoid_orbit_enumerate(reflection_solution(d), 5).counts
         expansion = expand_rational(monoid_growth_reflections(d), 5).integer_coefficients()
-        good = counts == expansion
-        ok &= good
-        rows.append({"d": d, "oracle": counts, "expansion": expansion, "passed": good})
+        fields = {"d": d, "oracle": counts, "expansion": expansion}
+        rows.append(_row(fields, verdict(counts, expansion)))
     # the divisor formula and the level-decomposition route are asserted equal
     # inside monoid_growth_reflections; exercise both for d <= 30
     routes_ok = True
@@ -331,12 +310,11 @@ def check_reflection_monoid() -> CriterionResult:
             monoid_growth_reflections(d)
         except AssertionError:
             routes_ok = False
-    ok &= routes_ok
-    return CriterionResult(
+    return _result(
         "9",
         "Reflection monoid growth vs orbit oracle; route agreement d <= 30",
-        ok,
-        details={"rows": rows, "routes_agree_upto_30": routes_ok},
+        rows,
+        routes_agree_upto_30=routes_ok,
     )
 
 
@@ -426,7 +404,6 @@ def check_invariant_completeness() -> CriterionResult:
 
 def check_fts_embedding() -> CriterionResult:
     rows = []
-    ok = True
     for d in (3, 4):
         sol = transposition_solution(d)
         pair_of = dict(enumerate(sol.labels))
@@ -449,20 +426,12 @@ def check_fts_embedding() -> CriterionResult:
                 fts_image_membership(Permutation(img), m, d) for img, m in images
             )
             good = injective and members_ok and len(images) == member_count
-            ok &= good
-            if not good or n == 7:
-                rows.append(
-                    {
-                        "d": d,
-                        "length": n,
-                        "full_orbits": len(full_reps),
-                        "image_pairs": member_count,
-                        "passed": good,
-                    }
-                )
-    return CriterionResult(
-        "11", "Full transposition words biject with (g, m) image pairs", ok, details={"rows": rows}
-    )
+            if not good or n == 7:  # every failing row is kept
+                fields = {
+                    "d": d, "length": n, "full_orbits": len(full_reps), "image_pairs": member_count
+                }
+                rows.append(_row(fields, good))
+    return _result("11", "Full transposition words biject with (g, m) image pairs", rows)
 
 
 def check_constructive_lemmas() -> CriterionResult:

@@ -6,8 +6,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import ybe_growth
 from test_algebra import _commutator_length_two_group, _cyclic_group
@@ -80,6 +78,16 @@ class TestGroupCommand:
             capsys,
         )
         assert code == 3
+
+    def test_budget_bounds_the_defect_engine(self, capsys):
+        # without --verify the budget still bounds the defect recursion
+        for family, d in (("dihedral", "30"), ("permutations", "6")):
+            code, out, err = run_cli(
+                ["group", "--solution", family, "--d", d, "--order", "6", "--budget-states", "10"],
+                capsys,
+            )
+            assert code == 3 and out == ""
+            assert err == "budget exceeded: defect enumeration exceeded state budget\n"
 
     @pytest.mark.parametrize("message", ["Unable to allocate 388. GiB for an array", ""])
     def test_memory_error_exit_code(self, capsys, monkeypatch, message):
@@ -331,58 +339,30 @@ class TestMalformedCustomJson:
 
     @staticmethod
     def _malformed():
-        """Tables that are non-square, hold a non-integer or out-of-range
-        entry, or lack the "op" key."""
-        size = st.integers(1, 5)
+        """Every malformed table for n <= 3: each non-square shape with row
+        lengths up to n + 1, each cell holding each non-integer value type or
+        each out-of-range value, and each document without an "op" key."""
+        bad_values = [None, False, True, 1.0, "0", [0], {"a": 0}]
+        for n in range(1, 4):
+            for lengths in itertools.product(range(n + 2), repeat=n):
+                if any(length != n for length in lengths):
+                    yield {"op": [[j % n for j in range(length)] for length in lengths]}
+            for cell in range(n * n):
+                for value in bad_values + [-1, n, -(10**12), 10**12]:
+                    op = [list(range(n)) for _ in range(n)]
+                    op[cell // n][cell % n] = value
+                    yield {"op": op}
+        keys = ["size", "labels", "ops", "table"]
+        for k in range(len(keys) + 1):
+            for chosen in itertools.combinations(keys, k):
+                yield {key: 1 for key in chosen}
+        yield from ([], [[0]], 0, "op", None)
 
-        def trivial(n):
-            return [list(range(n)) for _ in range(n)]
-
-        def replace(n, cell, value):
-            op = trivial(n)
-            op[cell // n][cell % n] = value
-            return {"op": op}
-
-        non_square = size.flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(0, n - 1), min_size=0, max_size=6), min_size=n, max_size=n
-            )
-            .filter(lambda rows: any(len(row) != n for row in rows))
-            .map(lambda rows: {"op": rows})
-        )
-        bad_value = st.one_of(
-            st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
-            st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers()),
-        )
-        non_integer = size.flatmap(
-            lambda n: st.tuples(st.integers(0, n * n - 1), bad_value).map(lambda cv: replace(n, *cv))
-        )
-        out_of_range = size.flatmap(
-            lambda n: st.tuples(
-                st.integers(0, n * n - 1),
-                st.one_of(st.integers(-(10**12), -1), st.integers(n, 10**12)),
-            ).map(lambda cv: replace(n, *cv))
-        )
-        missing_keys = st.one_of(
-            st.dictionaries(st.sampled_from(["size", "labels", "ops", "table"]), st.integers(0, 3)),
-            st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3),
-            st.integers(),
-            st.text(max_size=5),
-            st.none(),
-        )
-        return st.one_of(non_square, non_integer, out_of_range, missing_keys)
-
-    @settings(
-        max_examples=50,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(data=st.data())
-    def test_fuzzed_tables_exit_2(self, data, tmp_path, capsys):
-        table = data.draw(self._malformed())
+    def test_fuzzed_tables_exit_2(self, tmp_path, capsys):
         path = tmp_path / "sol.json"
-        path.write_text(json.dumps(table))
-        _assert_input_error(*_custom_json(path, capsys))
+        for table in self._malformed():
+            path.write_text(json.dumps(table))
+            _assert_input_error(*_custom_json(path, capsys))
 
 
 class TestDefectTable:

@@ -1,9 +1,52 @@
-"""Criteria 10 and 12 check every row of their boxes themselves: a wrong row
-that skips the library's own checks must still fail the criterion."""
+"""A criterion passes only on a complete, agreeing comparison.  Every
+formula-vs-oracle row is decided by `verdict`, so a wrong closed form or an
+empty oracle fails it; criteria 10 and 12 check every row of their boxes
+themselves, so a wrong row that skips the library's own checks must still fail
+the criterion."""
 
 import numpy as np
+import pytest
 
-from ybe_growth import reflection_monoid, verification
+from ybe_growth import group_growth, reflection_monoid, verification
+from ybe_growth.series import Polynomial, RationalGF
+
+
+@pytest.mark.parametrize(
+    "oracle, formula, expected",
+    [
+        ([], [], None),
+        ([1], [1, 3], None),
+        ([1, 2], [1, 3, 5], False),
+        ([1, 3, 5], [1, 3, 5], True),
+        ([1, 3, 5, 7], [1, 3, 5], False),
+    ],
+)
+def test_verdict(oracle, formula, expected):
+    assert verification.verdict(oracle, formula) is expected
+
+
+def _criterion_4_rows(monkeypatch, name, patched):
+    monkeypatch.setattr(verification, name, patched)
+    result = verification.check_reflection_group()
+    assert result.passed is False
+    rows = result.details["rows"]
+    assert [row["d"] for row in rows] == [3, 4, 5, 6, 7]
+    assert all(row["passed"] is False for row in rows)
+    return rows
+
+
+def test_wrong_reflection_form_fails_criterion_4(monkeypatch):
+    # the true form plus t^6: wrong at the last order the oracle reaches only
+    def wrong(d):
+        return group_growth.as_reflections_group_gf(d) + RationalGF(Polynomial([1]).shift(6))
+
+    rows = _criterion_4_rows(monkeypatch, "as_reflections_group_gf", wrong)
+    assert all(row["oracle"][:6] == row["expansion"][:6] for row in rows)
+
+
+def test_empty_oracle_fails_criterion_4(monkeypatch):
+    rows = _criterion_4_rows(monkeypatch, "conjugation_ball_series", lambda *args: [])
+    assert all(row["oracle"] == [] for row in rows)
 
 
 def _wrong_in_one_row(monkeypatch, name, row_of, wrong):
