@@ -822,10 +822,6 @@ def transposition_solution(d: int) -> QuandleSolution:
     return QuandleSolution(op, labels=pairs)
 
 
-def full_conjugation_solution(group: FiniteGroupTable) -> QuandleSolution:
-    return conjugation_solution(group, group.elements())
-
-
 # -- word length BFS ----------------------------------------------------------
 
 

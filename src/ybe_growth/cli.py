@@ -425,7 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--budget-states", type=int, default=None, help="state budget override")
+    common.add_argument(
+        "--budget-states",
+        type=int,
+        default=None,
+        help=(
+            "budget override, in each command's unit: for monoid, words of every "
+            "length through the last one enumerated (default 10^7); for group "
+            "--verify, ball states (10^8); for the defect engine behind group and "
+            "defect-table, memo states (10^6); for the defect-table listing, rows (10^6)"
+        ),
+    )
     common.add_argument(
         "--threads",
         type=int,

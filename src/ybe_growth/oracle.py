@@ -2,19 +2,25 @@
 sphere counting for structure groups embedded in (finite group) x Z^k, and
 window orbit closures over the integer reflection solution.
 
-Every oracle keeps its states as one sorted 1-D array of mixed-radix codes
-(a word is a base-|X| integer, so numeric order equals lexicographic order),
-deduplicated by sort and binary search.  The codes are int64, or Python ints
-in an object array where a code would overflow int64; the same lines serve
-both.  Orbits of length n+1 are the connected components of a
-quotient graph on (length-n orbit, last letter) pairs, joined only by the
-move at the last position, and are numbered by their minimal encoded word.
-The ball BFS and the window closure run through one level-synchronous
-traversal, `_bfs_levels`: both move sets are closed under inverses, so a new
-level is deduplicated against the two before it only.  The window closure
-stays in code form: it returns a `WindowOrbit`, a read-only set view whose
-length and membership are read off the sorted codes, and which decodes words
-to tuples only when iterated.
+The word-orbit oracle works on the orbit quotient and never holds one entry
+per word.  The orbits of length n are the connected components of a graph on
+the nodes (length-(n-1) orbit, last letter), joined only by the move at the
+last position.  That move's two ends depend on the word before the last two
+letters only through its orbit, so the edges of length n come from the
+triples (orbit of length n-2, letter, letter), read off the previous
+length's orbit table.  Orbits are numbered by their minimal word, which is
+built by extending the minimal word of the node's shorter orbit by one
+letter.
+
+The ball BFS and the window closure keep their states as one sorted 1-D
+array of mixed-radix codes (int64, or Python ints in an object array where
+a code would overflow int64; the same lines serve both), deduplicated by
+sort and binary search.  Both run through one level-synchronous traversal,
+`_bfs_levels`: both move sets are closed under inverses, so a new level is
+deduplicated against the two before it only.  The window closure stays in
+code form: it returns a `WindowOrbit`, a read-only set view whose length and
+membership are read off the sorted codes, and which decodes words to tuples
+only when iterated.
 """
 
 from __future__ import annotations
@@ -106,39 +112,41 @@ def _component_roots(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _orbit_labels(
     sol: QuandleSolution, length: int, shorter: Optional[tuple] = None
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Orbit labels of all words of one length under braiding moves, the
-    orbit count, and each orbit's minimal code (ascending: orbits are
-    numbered by their minimal codes).
+) -> tuple[np.ndarray, int, list[tuple[int, ...]]]:
+    """The orbit table of one length under braiding moves, the orbit count,
+    and each orbit's minimal word (ascending: orbits are numbered by their
+    minimal words).
 
-    `shorter` is this function's result for length - 1.  A word of the new
-    length is u + x (u of length - 1 letters, last letter x); its node in the
-    quotient graph is (label of u, x).  For u ending in y, the move at the
-    last position sends u + x to u' + y, with u' = u whose last letter is
-    replaced by y > x, and that move is the quotient's only kind of edge.
+    `shorter` is this function's result for length - 1.  Row p, column x of
+    the table is the orbit of the words u + x for u in orbit p of length - 1;
+    (p, x) is a node of the quotient graph.  For u = v + y, the move at the
+    last position joins (orbit of v + y, x) to (orbit of v + (y > x), y), and
+    it is the quotient's only kind of edge.  Both orbits are entries of the
+    shorter table in the row of v's orbit, so the edges come from the triples
+    (orbit of v, y, x), not from the words: every orbit is non-empty, so the
+    triples give the same edges as the words would.
     """
     base = sol.size
-    if length < 2 or not base:
-        codes = np.arange(base**length, dtype=np.int64)
-        return codes, len(codes), codes
-    labels, count, mins = shorter
-    op = np.asarray(sol.op, dtype=np.int64)
-    nodes = count * base
-    codes = np.arange(len(labels), dtype=np.int64)
-    last = codes % base
-    keys = []
-    for x in range(base):
-        a = labels * base + x
-        b = labels[codes + op[last, x] - last] * base + last
-        keys.append(_sorted_unique(np.minimum(a, b) * nodes + np.maximum(a, b)))
-    keys = _sorted_unique(np.concatenate(keys))
-    roots = _component_roots(nodes, keys // nodes, keys % nodes)
-    # node ids order like minimal codes, since mins ascends: the smallest
-    # node of a component holds its minimal code
-    firsts, node_label = np.unique(roots, return_inverse=True)
-    # row u of the node table holds the labels of the words u + x
-    new_labels = node_label.reshape(count, base)[labels].ravel()
-    return new_labels, len(firsts), mins[firsts // base] * base + firsts % base
+    if length == 0:
+        return np.zeros((0, base), dtype=np.int64), 1, [()]
+    table, count, reps = shorter
+    nodes = np.arange(count * base, dtype=np.int64)
+    roots = nodes
+    if length > 1:
+        op = np.asarray(sol.op, dtype=np.int64).reshape(base, base)
+        letters = np.arange(base, dtype=np.int64)
+        # entry [p, y, x] is the node of v + y + x, or of its move, for v in orbit p
+        a = table[:, :, None] * base + letters  # (orbit of v + y, x)
+        b = table[:, op] * base + letters[:, None]  # (orbit of v + (y > x), y)
+        roots = _component_roots(len(nodes), a.ravel(), b.ravel())
+    # nodes order like their minimal words, since reps ascend: the smallest
+    # node of a component is its root and holds its minimal word
+    is_root = roots == nodes
+    firsts = np.flatnonzero(is_root)
+    new_table = (np.cumsum(is_root) - 1)[roots].reshape(count, base)
+    orbit, letter = np.divmod(firsts, base)
+    new_reps = [reps[p] + (x,) for p, x in zip(orbit.tolist(), letter.tolist())]
+    return new_table, len(firsts), new_reps
 
 
 def _check_letters(word: Sequence[int], size: int) -> None:
@@ -155,7 +163,7 @@ class OrbitEnumeration:
     max_length: int  # last length actually enumerated
     counts: list[int] = field(default_factory=list)
     representatives: list[list[tuple[int, ...]]] = field(default_factory=list)
-    _labels: list[np.ndarray] = field(default_factory=list)
+    _tables: list[np.ndarray] = field(default_factory=list)  # per length, from _orbit_labels
     truncated: bool = False
 
     def orbit_id(self, word: Sequence[int]) -> tuple[int, int]:
@@ -166,8 +174,10 @@ class OrbitEnumeration:
         if n > self.max_length:
             raise ValueError(f"length {n} beyond enumerated range {self.max_length}")
         _check_letters(word, size)
-        code = np.array(word, dtype=np.int64) @ _places([size] * n)
-        return n, int(self._labels[n][code])
+        orbit = 0  # the empty word's
+        for table, letter in zip(self._tables[1:], word):
+            orbit = table[orbit, letter]
+        return n, int(orbit)
 
     def same_orbit(self, w1: Sequence[int], w2: Sequence[int]) -> bool:
         if len(w1) != len(w2):
@@ -193,11 +203,10 @@ def monoid_orbit_enumerate(
         if spent > budget:
             result.truncated = True
             break
-        labels, n_orbits, mins = shorter = _orbit_labels(sol, n, shorter)
+        table, n_orbits, reps = shorter = _orbit_labels(sol, n, shorter)
         result.counts.append(n_orbits)
-        result._labels.append(labels)
-        digits = _digit_rows(mins, _places([base] * n), base)
-        result.representatives.append(list(map(tuple, digits.tolist())))
+        result._tables.append(table)
+        result.representatives.append(reps)
     result.max_length = len(result.counts) - 1
     return result
 
@@ -210,16 +219,19 @@ def orbit_equal(
 ) -> bool:
     """Whether two words are related by braiding moves (always false across
     different lengths, since moves preserve length).  Raises ValueError for a
-    letter outside 0..size-1, whatever the words."""
+    letter outside 0..size-1, whatever the words, and BudgetExceededError
+    when the enumeration through their length would exceed `budget` words,
+    counted as in monoid_orbit_enumerate."""
     _check_letters(w1, sol.size)
     _check_letters(w2, sol.size)
     if len(w1) != len(w2):
         return False
     if tuple(w1) == tuple(w2):
         return True
-    if sol.size ** len(w1) > budget:
-        raise BudgetExceededError(f"word space {sol.size}^{len(w1)} exceeds budget {budget}")
-    return monoid_orbit_enumerate(sol, len(w1), math.inf).same_orbit(w1, w2)
+    enum = monoid_orbit_enumerate(sol, len(w1), budget)
+    if enum.truncated:
+        raise BudgetExceededError(f"orbits of length {len(w1)} exceed the budget of {budget} words")
+    return enum.same_orbit(w1, w2)
 
 
 @dataclass

@@ -11,8 +11,8 @@ from ybe_growth.algebra import (
     FiniteGroupTable,
     Permutation,
     QuandleSolution,
+    conjugation_solution,
     dihedral_reflections,
-    full_conjugation_solution,
     generic_length_series,
     make_dihedral_group,
     make_symmetric_group,
@@ -31,6 +31,9 @@ from ybe_growth.oracle import (
     reflection_orbit_closure,
     reflection_orbit_equal_infinite,
 )
+from ybe_growth.reflection_monoid import monoid_growth_reflections
+from ybe_growth.series import expand_rational
+from ybe_growth.transposition_monoid import monoid_growth_transpositions
 
 
 class TestOrbitEnumeration:
@@ -115,6 +118,15 @@ class TestOrbitEqual:
         sol = reflection_solution(5)
         with pytest.raises(BudgetExceededError):
             orbit_equal(sol, (0,) * 9, (1,) * 9, budget=10)
+
+    def test_budget_counts_words_of_every_length(self):
+        # (0, 1) -> (2, 0) is one move at the first position
+        sol = transposition_solution(3)
+        w1, w2 = (0, 1, 0, 0), (2, 0, 0, 0)
+        total = sum(3**n for n in range(5))
+        assert orbit_equal(sol, w1, w2, budget=total)
+        with pytest.raises(BudgetExceededError):
+            orbit_equal(sol, w1, w2, budget=total - 1)
 
     def test_letters_checked_before_any_shortcut(self):
         sol = reflection_solution(3)
@@ -204,6 +216,10 @@ def _reference_orbits(op, length):
     return sorted(orbits, key=min)
 
 
+def full_conjugation_solution(group):
+    return conjugation_solution(group, group.elements())
+
+
 def _relabelled(sol, seed):
     perm = list(range(sol.size))
     random.Random(seed).shuffle(perm)
@@ -260,6 +276,34 @@ class TestOrbitsAgainstReference:
         assert not enum.truncated and enum.max_length == 5
         enum = monoid_orbit_enumerate(sol, 5, budget=total - 1)
         assert enum.truncated and enum.max_length == 4
+
+
+class TestQuotientReach:
+    """The kernel holds no array with one entry per word, so it reaches
+    lengths whose word spaces overflow int64."""
+
+    @pytest.mark.parametrize(
+        "sol, growth, length",
+        [
+            (transposition_solution(4), monoid_growth_transpositions(4), 25),
+            (reflection_solution(12), monoid_growth_reflections(12), 20),
+        ],
+        ids=["T4", "R12"],
+    )
+    def test_counts_match_closed_forms(self, sol, growth, length):
+        enum = monoid_orbit_enumerate(sol, length, budget=sol.size ** (length + 1))
+        assert not enum.truncated
+        assert enum.counts == expand_rational(growth, length).integer_coefficients()
+
+    def test_t4_representatives_past_int64(self):
+        sol, length = transposition_solution(4), 25
+        assert sol.size**length > 2**63
+        enum = monoid_orbit_enumerate(sol, length, budget=sol.size ** (length + 1))
+        reps = enum.representatives[length]
+        assert all(len(rep) == length and set(rep) <= set(range(sol.size)) for rep in reps)
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        for k, rep in enumerate(reps):
+            assert enum.orbit_id(rep) == (length, k)
 
 
 def _reference_spheres(generators, mul, inv, radius):
