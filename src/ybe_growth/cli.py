@@ -318,7 +318,7 @@ def cmd_egf(args) -> int:
     for d in range(order_x + 1):
         series = egf_column(egf, d)
         coeffs = series.integer_coefficients()
-        entry = {"d": d, "coefficients": coeffs}
+        entry = {"d": d, "coefficients": coeffs, "matches_direct_formula": None}
         if d <= 12:
             direct = expand_rational(monoid_growth_transpositions(d), order_t)
             entry["matches_direct_formula"] = verdict(series.coeffs, direct.coeffs)
@@ -329,7 +329,11 @@ def cmd_egf(args) -> int:
     text = [f"EGF columns d! [x^d] through t^{order_t}:"]
     for entry in rows:
         text.append(f"  d={entry['d']}: {entry['coefficients']}")
-    text.append(f"cross-check against per-d formulas: {'PASS' if all_ok else 'FAIL'}")
+    scope = ""
+    if order_x > 12:
+        unchecked = "13" if order_x == 13 else f"13..{order_x}"
+        scope = f" (d <= 12; d = {unchecked} unchecked)"
+    text.append(f"cross-check against per-d formulas{scope}: {'PASS' if all_ok else 'FAIL'}")
     _emit(report, args, text_lines=text)
     return 0 if all_ok else 1
 

@@ -11,6 +11,7 @@ series, whose coefficients are integers, stay on int arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -498,17 +499,37 @@ class BivariateSeries:
         return BivariateSeries(rows)
 
     def exp(self) -> "BivariateSeries":
-        """Sum of f^n / n! at this truncation; needs zero constant term."""
+        """exp(f) at this truncation; needs zero constant term.
+
+        The exponential formula over x-columns, scaled by n!: with
+        f_k = k! [x^k] f and e_n = n! [x^n] exp(f), e_0 is the t-series
+        exp(f_0) (m a_m = sum_i i f_0[i] a_(m-i)) and
+        e_n = sum_(k=1..n) C(n-1, k-1) f_k e_(n-k), every product truncated
+        at order_t; each entry of e_n is divided by n! once, at the end.
+        When every f_k has integer coefficients, as for the EGF of the
+        transposition monoids, the recurrence is int arithmetic only.
+        """
         if self.rows[0][0] != 0:
             raise ValueError("exp undefined: nonzero constant term")
-        result = BivariateSeries.constant(1, self.order_t, self.order_x)
-        term = BivariateSeries.constant(1, self.order_t, self.order_x)
-        # f^n has total degree >= n, so the sum is finite at any truncation.
-        for n in range(1, self.order_t + self.order_x + 1):
-            term = term * self
-            term = term * Fraction(1, n)
-            result = result + term
-        return result
+        nt, nx = self.order_t, self.order_x
+        f = [[_frac(row[k] * math.factorial(k)) for row in self.rows] for k in range(nx + 1)]
+        e0 = [1] + [0] * nt
+        for m in range(1, nt + 1):
+            e0[m] = _div(sum(i * f[0][i] * e0[m - i] for i in range(1, m + 1)), m)
+        e = [e0]
+        for n in range(1, nx + 1):
+            acc = [0] * (nt + 1)
+            for k in range(1, n + 1):
+                c, g = math.comb(n - 1, k - 1), e[n - k]
+                for i, a in enumerate(f[k]):
+                    if a:
+                        a *= c
+                        for j in range(nt + 1 - i):
+                            acc[i + j] += a * g[j]
+            e.append(acc)
+        return BivariateSeries(
+            [_div(e[n][i], math.factorial(n)) for n in range(nx + 1)] for i in range(nt + 1)
+        )
 
     def __eq__(self, other):
         return isinstance(other, BivariateSeries) and self.rows == other.rows

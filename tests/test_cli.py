@@ -586,6 +586,17 @@ class TestOtherCommands:
         assert report["cross_check_passed"] is True
         assert report["columns"][3]["coefficients"] == [1, 3, 5, 6, 6, 6, 6]
 
+    def test_egf_columns_past_the_cross_check_are_unchecked(self, capsys):
+        code, out, _ = run_cli(["egf", "--order", "4", "--order-x", "14", "--format", "json"], capsys)
+        assert code == 0
+        verdicts = [c["matches_direct_formula"] for c in json.loads(out)["columns"]]
+        assert verdicts == [True] * 13 + [None, None]
+        code, out, _ = run_cli(["egf", "--order", "4", "--order-x", "13"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "cross-check against per-d formulas (d <= 12; d = 13 unchecked): PASS"
+        )
+
     def test_normal_form(self, capsys):
         code, out, _ = run_cli(
             ["normal-form", "--word", "1,-1,1", "--infinite", "--format", "json"], capsys

@@ -184,9 +184,31 @@ class TestBivariate:
             )
             assert (f + g).exp() == f.exp() * g.exp()
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_exp_equals_power_sum_on_a_box(self, shape):
+        # every f of this shape with entries in {-1, 0, 1/2, 1} and zero
+        # constant term, the x^0 column included
+        rows, cols = shape
+        values = (-1, 0, Fraction(1, 2), 1)
+        for entries in itertools.product(values, repeat=rows * cols - 1):
+            flat = (0,) + entries
+            f = BivariateSeries([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+            assert f.exp() == _power_sum_exp(f), flat
+
     def test_shift_down_checks_divisibility(self):
         with pytest.raises(ValueError, match="not divisible"):
             BivariateSeries([[0, 1], [0, 0], [1, 0]]).shift_down_t(2)
+
+
+def _power_sum_exp(f):
+    """exp(f) as the sum of f^n / n!, which is finite at any truncation
+    because f^n has total degree at least n."""
+    result = BivariateSeries.constant(1, f.order_t, f.order_x)
+    term = BivariateSeries.constant(1, f.order_t, f.order_x)
+    for n in range(1, f.order_t + f.order_x + 1):
+        term = term * f * Fraction(1, n)
+        result = result + term
+    return result
 
 
 def _all_int(values):

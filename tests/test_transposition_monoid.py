@@ -357,6 +357,20 @@ class TestEGF:
                 monoid_growth_transpositions(d), 10
             )
 
+    def test_columns_match_through_d12_at_order_40(self):
+        egf = egf_transposition_monoids(40, 12)
+        for d in range(13):
+            assert egf_column(egf, d) == expand_rational(
+                monoid_growth_transpositions(d), 40
+            )
+
+    def test_columns_past_the_per_d_formulas(self):
+        # d = 13, 14 lie past monoid_growth_transpositions' d <= 12 guard
+        egf = egf_transposition_monoids(5, 14)
+        columns = [egf_column(egf, d).integer_coefficients() for d in range(15)]
+        assert columns[13] == [1, 78, 2795, 60996, 906269, 9711780]
+        assert columns[14] == [1, 91, 3822, 98280, 1730911, 22135295]
+
     def test_x0_column_is_one(self):
         egf = egf_transposition_monoids(5, 2)
         assert egf.coefficient_of_x(0).integer_coefficients() == [1, 0, 0, 0, 0, 0]
