@@ -1,5 +1,9 @@
 """Growth series of structure groups and monoids of conjugation-quandle
-Yang-Baxter solutions, with independent brute-force verification oracles."""
+Yang-Baxter solutions, with independent brute-force verification oracles.
+
+Importing the package loads no numpy: the oracle's names below are imported
+from `ybe_growth.oracle` on first access.
+"""
 
 __version__ = "0.1.0"
 
@@ -12,6 +16,7 @@ from .series import (
     expand_rational,
 )
 from .algebra import (
+    BudgetExceededError,
     ConjugacyDecomposition,
     FiniteGroupTable,
     Permutation,
@@ -71,14 +76,24 @@ from .reflection_monoid import (
     push_through,
     triple_gcd_witness,
 )
-from .oracle import (
-    BallEnumeration,
-    BudgetExceededError,
-    OrbitEnumeration,
-    full_conjugation_spheres,
-    group_ball_enumerate,
-    monoid_orbit_enumerate,
-)
+
+# resolved by __getattr__ (PEP 562) on first access
+_ORACLE_NAMES = {
+    "BallEnumeration",
+    "OrbitEnumeration",
+    "full_conjugation_spheres",
+    "group_ball_enumerate",
+    "monoid_orbit_enumerate",
+}
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -8,6 +8,10 @@ ones multiply by gathering images.  Each group caches one ClassAlgebra: its
 classes, class product table and commutator masks.  `SymmetricClasses` holds
 the ClassAlgebra of S_d computed from partitions and characters instead, with
 no group element, for d past the reach of the element tables.
+
+numpy is imported inside the functions that build or read element arrays
+(group tables, image matrices, quandle validation); the class algebra of S_d
+from partitions needs none.
 """
 
 from __future__ import annotations
@@ -17,17 +21,26 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .series import TruncatedSeries
+
+if TYPE_CHECKING:  # annotations only; the array code imports numpy where it runs
+    import numpy as np
 
 DENSE_LIMIT = 2100
 # largest quandle accepted: validation checks all n^3 triples
 MAX_SOLUTION_SIZE = 512
 # largest S_d built element by element (8! = 40,320 image rows)
 MAX_ELEMENTS_D = 8
+# the oracles' default budgets: words of every length for the orbit oracle,
+# states for the ball BFS
+DEFAULT_WORD_BUDGET = 10**7
+DEFAULT_STATE_BUDGET = 10**8
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration would exceed its state budget."""
 
 
 def _cycles(images: Sequence[int]) -> list[list[int]]:
@@ -172,6 +185,8 @@ class FiniteGroupTable:
             raise ValueError("group size must be positive")
         if (table is None) == (images is None):
             raise ValueError("need exactly one of a multiplication table or permutation images")
+        import numpy as np
+
         self.size = size
         self.name = name
         self._table = None if table is None else np.asarray(table, dtype=np.int64)
@@ -202,6 +217,8 @@ class FiniteGroupTable:
         """a * b elementwise over broadcast arrays of elements."""
         if self._table is not None:
             return self._table[a, b]
+        import numpy as np
+
         a, b = np.broadcast_arrays(a, b)
         return self._rank(np.take_along_axis(self.images[a], self.images[b], axis=-1))
 
@@ -229,6 +246,8 @@ class FiniteGroupTable:
         identity, every element has a two-sided inverse, and a given table is
         associative.  Builds the table of a small image group.  Returns the
         inverses."""
+        import numpy as np
+
         n = self.size
         every = np.arange(n)
         table, images = self._table, self.images
@@ -287,6 +306,8 @@ class FiniteGroupTable:
     def _decompose(self) -> ConjugacyDecomposition:
         """Classes one at a time: the smallest element x without a class yet
         has the class {h x h^-1 : h in G}, taken with one gather per factor."""
+        import numpy as np
+
         n = self.size
         inv = np.asarray(self._inv)
         if self._table is None:
@@ -361,7 +382,7 @@ class FiniteGroupTable:
             raise ValueError(f'"size" is {size} but "mult" has {len(data["mult"])} rows')
         return cls(
             size,
-            table=np.asarray(data["mult"], dtype=np.int64),
+            table=data["mult"],
             labels=data.get("labels"),
             name=data.get("name", "G"),
         )
@@ -379,6 +400,8 @@ def class_product_table(
     rep * C_j for one fixed representative of C_i already give all of them,
     so each row of the table needs one group row, rep * G.
     """
+    import numpy as np
+
     c = dec.count
     class_of = np.asarray(dec.class_of)
     table = []
@@ -541,6 +564,8 @@ def _image_ranker(images: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Rank function of a list of permutations of {0..d-1}, given as an n x d
     image matrix: maps image rows (an array of any leading shape) to their
     indices in the list, by looking up base-d codes."""
+    import numpy as np
+
     d = images.shape[1]
     radix = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
     codes = images @ radix
@@ -559,6 +584,8 @@ def make_symmetric_group(d: int) -> FiniteGroupTable:
     and the identity comes first."""
     if not 1 <= d <= MAX_ELEMENTS_D:
         raise ValueError(f"symmetric group supported for 1 <= d <= {MAX_ELEMENTS_D}")
+    import numpy as np
+
     images = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
     return FiniteGroupTable(len(images), images=images, name=f"S{d}")
 
@@ -566,6 +593,8 @@ def make_symmetric_group(d: int) -> FiniteGroupTable:
 def symmetric_transpositions(group: FiniteGroupTable) -> tuple[int, ...]:
     """Indices of the transpositions of S_d: the image rows that move exactly
     two points."""
+    import numpy as np
+
     moved = (group.images != np.arange(group.images.shape[1])).sum(axis=1)
     return tuple(np.flatnonzero(moved == 2).tolist())
 
@@ -684,6 +713,8 @@ def make_dihedral_group(d: int) -> FiniteGroupTable:
     """
     if not 1 <= d <= 1000:
         raise ValueError("dihedral group supported for 1 <= d <= 1000")
+    import numpy as np
+
     n = 2 * d
     idx = np.arange(d)
     table = np.empty((n, n), dtype=np.int64)
@@ -743,6 +774,8 @@ class QuandleSolution:
                 raise ValueError(f"left translation by {x} is not a bijection")
             if self.op[x][x] != x:
                 raise ValueError(f"idempotence fails at {x}")
+        import numpy as np
+
         op = np.array(self.op, dtype=np.intp).reshape(n, n)
         flat = op.ravel()
         for x, row in enumerate(op):

@@ -6,6 +6,14 @@ produce byte-identical JSON (timings are therefore printed only in text
 mode).  Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed
 input, 3 budget exceeded (including a verification the budget cut short) or
 memory exhausted.
+
+Only the commands that build arrays import numpy: `group` and `defect-table`
+on dihedral groups, every `--verify`, `monoid --solution custom-json` and
+`verify`.  The closed forms (`group` on permutations, transpositions and
+reflections, `monoid` on transpositions and reflections, `egf`,
+`normal-form`, `invariants` and `defect-table --solution permutations`) run
+without it, so this module imports the oracle and the verification matrix
+only inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -20,7 +28,10 @@ import time
 
 from . import __version__
 from .algebra import (
+    DEFAULT_STATE_BUDGET,
+    DEFAULT_WORD_BUDGET,
     MAX_ELEMENTS_D,
+    BudgetExceededError,
     QuandleSolution,
     SymmetricClasses,
     make_dihedral_group,
@@ -39,27 +50,18 @@ from .group_growth import (
     defect_series,
     nonzero_defects,
 )
-from .oracle import (
-    BudgetExceededError,
-    DEFAULT_STATE_BUDGET,
-    DEFAULT_WORD_BUDGET,
-    conjugation_ball_series,
-    full_conjugation_spheres,
-    monoid_orbit_enumerate,
-)
 from .reflection_monoid import (
     ReflectionWord,
     invariants,
     monoid_growth_reflections,
     normal_form,
 )
-from .series import expand_rational
+from .series import expand_rational, verdict
 from .transposition_monoid import (
     egf_column,
     egf_transposition_monoids,
     monoid_growth_transpositions,
 )
-from .verification import run_criteria, verdict
 
 # largest S_d of `group --solution permutations`, whose class algebra comes
 # from partitions: S_12 (77 classes) takes about 6 s at order 4, most of it in
@@ -148,6 +150,8 @@ def cmd_group(args) -> int:
         closed = closed_form(d)
         expansion = expand_rational(closed, order)
         if args.verify:
+            from .oracle import conjugation_ball_series
+
             group = build(d)
             oracle = conjugation_ball_series(group, generators(group), order, _budget(args))
     else:
@@ -168,6 +172,8 @@ def cmd_group(args) -> int:
             report["defect"]["diagnostic"] = result.defect.diagnostic
             text.append(f"warning: {result.defect.diagnostic}")
         if args.verify:
+            from .oracle import full_conjugation_spheres
+
             if family == "permutations":
                 group = make_symmetric_group(d)
             oracle = full_conjugation_spheres(group, order, _budget(args))
@@ -226,6 +232,8 @@ def cmd_monoid(args) -> int:
             report["closed_form"] = closed.to_json()
             text.append(f"closed form: {closed!r}")
     if args.verify or coeffs is None:
+        from .oracle import monoid_orbit_enumerate
+
         enum = monoid_orbit_enumerate(sol, order, _budget(args, DEFAULT_WORD_BUDGET))
         counts = enum.counts
         report["oracle"] = {
@@ -400,6 +408,8 @@ def _invariants_text(inv) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_criteria
+
     ids = args.criteria.split(",") if args.criteria else None
     t0 = time.monotonic()
     results = run_criteria(ids)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .algebra import ClassAlgebra, FiniteGroupTable
+from .algebra import BudgetExceededError, ClassAlgebra, FiniteGroupTable
 from .series import (
     ONE,
     ONE_MINUS_T,
@@ -27,7 +27,6 @@ from .series import (
     TruncatedSeries,
     expand_rational,
 )
-from .oracle import BudgetExceededError
 
 DEFAULT_DEFECT_BUDGET = 10**6
 

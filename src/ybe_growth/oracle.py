@@ -34,14 +34,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteGroupTable, QuandleSolution
-
-DEFAULT_WORD_BUDGET = 10**7
-DEFAULT_STATE_BUDGET = 10**8
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed its state budget."""
+from .algebra import (
+    DEFAULT_STATE_BUDGET,
+    DEFAULT_WORD_BUDGET,
+    BudgetExceededError,
+    FiniteGroupTable,
+    QuandleSolution,
+)
 
 
 def _places(radices: Sequence[int]) -> np.ndarray:

@@ -10,6 +10,9 @@ whose essential level d/density is odd, letter parity is not well defined, so
 the essential even length is fixed to the whole length by convention; the
 invariant tuple remains complete because at odd level the weight and length
 already separate elements.
+
+A single word takes plain integer arithmetic; numpy is imported only by the
+box forms, which take many words at once as arrays.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .series import ONE, ONE_MINUS_T, Polynomial, RationalGF, T
+
+if TYPE_CHECKING:  # annotations only; the box forms import numpy where they run
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,8 @@ def _weight(columns):
 
 
 def _gcd_of_arrays(*values):
+    import numpy as np
+
     return functools.reduce(np.gcd, values)
 
 
@@ -330,7 +336,12 @@ def _crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
 _INT64_BOUND = 2**29
 
 
-_as_int = np.frompyfunc(operator.index, 1, 1)
+@functools.cache
+def _as_int():
+    """The ufunc applying operator.index to each entry of an object array."""
+    import numpy as np
+
+    return np.frompyfunc(operator.index, 1, 1)
 
 
 def _exact(*boxes) -> list[np.ndarray]:
@@ -338,8 +349,10 @@ def _exact(*boxes) -> list[np.ndarray]:
     as object arrays of Python ints.  Anything but an integer array is read
     entry by entry, as numpy would read ints past int64 as uint64 or even
     float64; an entry that is not an integer raises TypeError."""
+    import numpy as np
+
     arrays = [
-        x if isinstance(x, np.ndarray) and x.dtype.kind in "iu" else _as_int(np.array(x, dtype=object))
+        x if isinstance(x, np.ndarray) and x.dtype.kind in "iu" else _as_int()(np.array(x, dtype=object))
         for x in boxes
     ]
     bound = max((abs(int(v)) for x in arrays if x.size for v in (x.min(), x.max())), default=0)
@@ -350,6 +363,8 @@ def _exact(*boxes) -> list[np.ndarray]:
 def _distinct(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first index of each distinct pair (x[i], y[i]), and each pair's
     position among them, with every pair taken as one integer code."""
+    import numpy as np
+
     low = y.min(initial=0)
     code = (x - x.min(initial=0)) * (y.max(initial=0) - low + 1) + (y - low)
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
@@ -378,6 +393,8 @@ def gcd_witnesses(a, b, c, parity: Optional[int] = None) -> np.ndarray:
     every row's answer is checked.  The result is int64, or object when the
     inputs are too large for int64 to hold every intermediate.
     """
+    import numpy as np
+
     a, b, c = _exact(a, b, c)
     if (a == b).any():
         raise ValueError("requires a != b")
@@ -436,6 +453,8 @@ def coprime_lifts(values, d: int, force_odd: bool = False) -> np.ndarray:
     row's lifted values are checked.  The result is int64, or object when
     the inputs are too large for int64 to hold every intermediate.
     """
+    import numpy as np
+
     values = _exact(values, [d])[0]
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValueError("need at least two values")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -399,6 +399,17 @@ def expand_rational(gf: RationalGF, order: int) -> TruncatedSeries:
 def geometric_series(order: int, step: int = 1) -> TruncatedSeries:
     """1/(1 - t^step) truncated at the given order."""
     return expand_rational(RationalGF(ONE, ONE - T**step), order)
+
+
+def verdict(oracle, formula) -> Optional[bool]:
+    """The rule behind every formula-vs-oracle comparison: False when the
+    oracle's counts differ from the formula's on the orders the oracle
+    reached, None when it reached fewer orders than the formula or none at
+    all, True otherwise.  An empty or truncated comparison is never a pass."""
+    oracle, formula = list(oracle), list(formula)
+    if oracle != formula[: len(oracle)]:
+        return False
+    return True if oracle and len(oracle) >= len(formula) else None
 
 
 class BivariateSeries:

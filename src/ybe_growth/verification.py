@@ -49,7 +49,7 @@ from .reflection_monoid import (
     normal_form as reflection_normal_form,
     push_columns,
 )
-from .series import ONE, ONE_MINUS_T, ONE_PLUS_T, Polynomial, RationalGF, T, expand_rational
+from .series import ONE, ONE_MINUS_T, ONE_PLUS_T, Polynomial, RationalGF, T, expand_rational, verdict
 from .transposition_monoid import (
     TranspositionWord,
     egf_column,
@@ -88,17 +88,6 @@ class CriterionResult:
             "gating": self.gating,
             "details": self.details,
         }
-
-
-def verdict(oracle, formula) -> Optional[bool]:
-    """The rule behind every formula-vs-oracle comparison: False when the
-    oracle's counts differ from the formula's on the orders the oracle
-    reached, None when it reached fewer orders than the formula or none at
-    all, True otherwise.  An empty or truncated comparison is never a pass."""
-    oracle, formula = list(oracle), list(formula)
-    if oracle != formula[: len(oracle)]:
-        return False
-    return True if oracle and len(oracle) >= len(formula) else None
 
 
 def _row(fields: dict, *checks) -> dict:

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import ybe_growth
 from test_algebra import _commutator_length_two_group, _cyclic_group
-from ybe_growth import algebra, cli
+from ybe_growth import algebra, cli, oracle
 from ybe_growth.algebra import MAX_SOLUTION_SIZE, make_dihedral_group, make_symmetric_group
 from ybe_growth.cli import main
 from ybe_growth.group_growth import as_full_conjugation_gf, nonzero_defects
@@ -95,7 +96,7 @@ class TestGroupCommand:
         def _exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "full_conjugation_spheres", _exhausted)
+        monkeypatch.setattr(oracle, "full_conjugation_spheres", _exhausted)
         code, out, err = run_cli(
             ["group", "--solution", "permutations", "--d", "4", "--order", "2", "--verify"],
             capsys,
@@ -713,6 +714,67 @@ class TestEntryPoint:
         for path in sources:
             for number, line in enumerate(path.read_bytes().splitlines(), 1):
                 assert line.isascii(), f"{path.name}:{number} is not ASCII"
+
+    def test_package_api(self, capsys, monkeypatch):
+        for name in ybe_growth.__all__:
+            getattr(ybe_growth, name)
+        namespace = {}
+        exec("from ybe_growth import *", namespace)
+        assert set(ybe_growth.__all__) <= set(namespace)
+        with pytest.raises(AttributeError):
+            ybe_growth.no_such_name
+        # the oracle's names, exported lazily, are the oracle's own objects
+        assert ybe_growth.group_ball_enumerate is oracle.group_ball_enumerate
+        assert ybe_growth.BudgetExceededError is oracle.BudgetExceededError
+
+        def _over_budget(*args, **kwargs):
+            raise oracle.BudgetExceededError("over")
+
+        monkeypatch.setattr(oracle, "full_conjugation_spheres", _over_budget)
+        code, out, err = run_cli(
+            ["group", "--solution", "permutations", "--d", "3", "--order", "2", "--verify"], capsys
+        )
+        assert (code, out, err) == (3, "", "budget exceeded: over\n")
+
+    def test_closed_forms_load_no_numpy(self):
+        # one fresh interpreter: importing the CLI and running every closed-form
+        # command leaves numpy unloaded; an oracle run then loads it
+        argvs = [
+            ["group", "--solution", family, "--d", "5", "--order", "4"]
+            for family in ("permutations", "transpositions", "reflections")
+        ] + [
+            ["monoid", "--solution", family, "--d", "5", "--order", "5"]
+            for family in ("transpositions", "reflections")
+        ] + [
+            [command, "--word", "1,2,3,5", *modulus]
+            for command in ("normal-form", "invariants")
+            for modulus in (["--d", "6"], ["--infinite"])
+        ] + [
+            ["egf", "--order", "8", "--order-x", "4"],
+            ["defect-table", "--solution", "permutations", "--d", "5"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from ybe_growth.cli import main\n"
+            "def run(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        return main(argv)\n"
+            "imported = 'numpy' in sys.modules\n"
+            "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+            "closed = 'numpy' in sys.modules\n"
+            "verified = run(['group', '--solution', 'reflections', '--d', '3', '--order', '3', '--verify'])\n"
+            "print(json.dumps([imported, codes, closed, verified, 'numpy' in sys.modules]))\n"
+        )
+        src = str(Path(ybe_growth.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported, codes, closed, verified, loaded = json.loads(proc.stdout)
+        assert codes == [0] * len(argvs)
+        assert not imported and not closed
+        assert verified == 0 and loaded
 
     def test_package_imports_no_random(self):
         for path in sorted(Path(ybe_growth.__file__).parent.glob("*.py")):
