@@ -12,6 +12,17 @@ length's orbit table.  Orbits are numbered by their minimal word, which is
 built by extending the minimal word of the node's shorter orbit by one
 letter.
 
+The sphere oracle of a conjugation solution searches (conjugacy class,
+lattice vector) states, not elements of G x Z^k.  Its structure group
+embeds in G x Z^k with generators (x, e_C) for x in a class C.  Conjugation
+by any h in G is an automorphism of G x Z^k that fixes the root and maps
+each generator (x, e_C) to the generator (h x h^-1, e_C), so it maps balls
+around the root onto themselves, and word length is constant on each set
+C x {v}.  A BFS over those sets is exact: its moves from (C, v) are read at
+one member of C, and sphere n is the sum of |C| over its states at
+distance n.  The element search (`group_ball_enumerate`) stays for arbitrary
+generators and as the quotient's reference in the tests.
+
 The ball BFS and the window closure keep their states as one sorted 1-D
 array of mixed-radix codes (int64, or Python ints in an object array where
 a code would overflow int64; the same lines serve both), deduplicated by
@@ -25,6 +36,7 @@ only when iterated.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -74,16 +86,17 @@ def _new_codes(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray)
     return codes
 
 
-def _bfs_levels(start: np.ndarray, advance, budget: int, what: str):
+def _bfs_levels(start: np.ndarray, advance, budget: int, what: str, weight=len):
     """Yield the BFS levels, sorted code arrays, from the codes `start`:
     `advance` maps a level to its neighbours' codes, of which those in the two
-    levels before are dropped.  Raises BudgetExceededError past `budget`
-    states."""
-    before, frontier, states = start[:0], start, len(start)
+    levels before are dropped.  Raises BudgetExceededError once the levels
+    weigh more than `budget` states in all, where `weight` weighs one level
+    (by default its number of codes)."""
+    before, frontier, states = start[:0], start, weight(start)
     while True:
         yield frontier
         before, frontier = frontier, _new_codes(advance(frontier), before, frontier)
-        states += len(frontier)
+        states += weight(frontier)
         if states > budget:
             raise BudgetExceededError(f"{what} exceeded {budget} states")
 
@@ -243,6 +256,35 @@ class BallEnumeration:
     states: int
 
 
+def _ball_moves(
+    generators: Iterable[tuple[int, Sequence[int]]], group: FiniteGroupTable, radius: int, top: int
+):
+    """The moves of a ball search in (group) x Z^rank, with codes whose most
+    significant digit ranges below `top`.
+
+    Returns the generators and their inverses (the inverse of (g, v) is
+    (g^-1, -v)) in order of first occurrence, their group elements, the
+    place values of the codes (digit, then each coordinate shifted by r, where
+    r bounds every coordinate inside the ball: the radius, for unit vectors),
+    the code of each generator's lattice step, and the code of the root
+    (digit 0, the zero vector).  The codes are Python ints in object arrays
+    where they would overflow int64.
+    """
+    pairs = [(int(g), tuple(int(c) for c in vec)) for g, vec in generators]
+    gens = list(dict.fromkeys(p for g, v in pairs for p in ((g, v), (group.inv(g), tuple(-c for c in v)))))
+    rank = len(gens[0][1]) if gens else 0
+    if any(len(v) != rank for _, v in gens):
+        raise ValueError("lattice vectors have mismatched ranks")
+    elems = np.array([g for g, _ in gens], dtype=np.int64)
+    steps = np.array([v for _, v in gens], dtype=np.int64).reshape(len(gens), rank)
+    # a state within `radius` steps has every coordinate in [-reach, reach]
+    reach = max(radius, 0) * int(np.abs(steps).max(initial=0))
+    places = _places([top] + [2 * reach + 1] * rank)
+    shifts = steps.astype(places.dtype, copy=False) @ places[1:]
+    root = np.array([[0] + [reach] * rank], dtype=places.dtype) @ places
+    return gens, elems, places, shifts, root
+
+
 def group_ball_enumerate(
     generators: Iterable[tuple[int, Sequence[int]]],
     group: FiniteGroupTable,
@@ -252,25 +294,11 @@ def group_ball_enumerate(
     """BFS sphere sizes from the identity, using generators and inverses.
 
     Each generator is a pair (group element, lattice vector); its inverse is
-    (inverse element, negated vector).  A state (g, v) is one code,
-    g * (2r+1)^rank + the base-(2r+1) code of v shifted by r, where r bounds
-    every coordinate inside the ball (the radius, for unit vectors); it is a
-    Python int where the codes would overflow int64.  Rank 0 is the Cayley
-    graph of the group itself.
+    (inverse element, negated vector).  A state (g, v) is one code, the group
+    element as the most significant digit above the shifted coordinates of v
+    (`_ball_moves`).  Rank 0 is the Cayley graph of the group itself.
     """
-    pairs = [(int(g), tuple(int(c) for c in vec)) for g, vec in generators]
-    # each generator and its inverse, in order of first occurrence
-    gens = list(dict.fromkeys(p for g, v in pairs for p in ((g, v), (group.inv(g), tuple(-c for c in v)))))
-    rank = len(gens[0][1]) if gens else 0
-    if any(len(v) != rank for _, v in gens):
-        raise ValueError("lattice vectors have mismatched ranks")
-    elems = np.array([g for g, _ in gens], dtype=np.int64)
-    steps = np.array([v for _, v in gens], dtype=np.int64).reshape(len(gens), rank)
-    # a state within `radius` steps has every coordinate in [-reach, reach]
-    reach = max(radius, 0) * int(np.abs(steps).max(initial=0))
-    # state: the mixed-radix code of (element, vector + reach)
-    places = _places([group.size] + [2 * reach + 1] * rank)
-    shifts = steps.astype(places.dtype, copy=False) @ places[1:]
+    gens, elems, places, shifts, root = _ball_moves(generators, group, radius, group.size)
 
     def advance(states):
         g = (states // places[0]).astype(np.int64, copy=False)
@@ -278,10 +306,65 @@ def group_ball_enumerate(
         moved = states[:, None] + np.multiply.outer(jump, places[0]) + shifts
         return moved.ravel()
 
-    start = np.array([[0] + [reach] * rank], dtype=places.dtype) @ places
-    levels = _bfs_levels(start, advance, budget, "ball enumeration")
+    levels = _bfs_levels(root, advance, budget, "ball enumeration")
     spheres = [len(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
-    return BallEnumeration(list(gens), radius, spheres, sum(spheres))
+    return BallEnumeration(gens, radius, spheres, sum(spheres))
+
+
+def class_quotient_spheres(
+    generators: Iterable[tuple[int, Sequence[int]]],
+    group: FiniteGroupTable,
+    radius: int,
+    budget: int = DEFAULT_STATE_BUDGET,
+) -> list[int]:
+    """The sphere sizes of `group_ball_enumerate`, from a BFS over the
+    (conjugacy class, lattice vector) states of the ball.
+
+    The generators must be closed under conjugation, taken with their
+    inverses: every (x, v) comes with (h x h^-1, v) for every h; otherwise
+    ValueError.  A state is one code, the class index as the most
+    significant digit above the shifted coordinates of v.  From the state
+    (C, v) the moves are read at the first member r of C, once per class:
+    (r x, v + w) for each generator (x, w) lands in (class of r x, v + w),
+    and the moves that land alike are kept once.  Sphere n is the sum of |C|
+    over the states at distance n, and the budget is charged in those
+    element counts, as `group_ball_enumerate` charges its states.
+    """
+    classes = group.conjugacy_classes()
+    gens, elems, places, shifts, root = _ball_moves(generators, group, radius, classes.count)
+    held = collections.Counter((classes.class_of[g], v) for g, v in gens)
+    if any(n != classes.sizes[c] for (c, _), n in held.items()):
+        raise ValueError("the generators are not a union of conjugacy classes")
+    class_of, sizes = np.array(classes.class_of), np.array(classes.sizes)
+    # row c: the code jumps of the moves from class c, each kept once, read
+    # off the group row of the class's first member (its products with all of G)
+    rows = np.stack([group.row(members[0]) for members in classes.classes])
+    targets = class_of[rows[:, elems]] - np.arange(classes.count)[:, None]
+    jumps = np.sort(targets.astype(places.dtype, copy=False) * places[0] + shifts, axis=1)
+    keep = np.ones(jumps.shape, dtype=bool)
+    keep[:, 1:] = jumps[:, 1:] != jumps[:, :-1]
+    flat, degree = jumps[keep], keep.sum(axis=1)
+    first = np.cumsum(degree) - degree  # where row c starts in `flat`
+
+    def class_index(states):
+        return (states // places[0]).astype(np.int64, copy=False)
+
+    def advance(states):
+        c = class_index(states)
+        deg = degree[c]
+        # candidate i of state s takes jump first[c_s] + (i - where s's candidates start)
+        index = np.repeat(first[c] - np.cumsum(deg) + deg, deg)
+        index += np.arange(len(index))
+        moved = flat[index]
+        del index  # one candidate-sized array less at the peak
+        moved += np.repeat(states, deg)
+        return moved
+
+    def weight(level):
+        return int(sizes[class_index(level)].sum())
+
+    levels = _bfs_levels(root, advance, budget, "ball enumeration", weight)
+    return [weight(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
 
 
 def conjugation_ball_generators(
@@ -301,9 +384,10 @@ def conjugation_ball_series(
     radius: int,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> list[int]:
-    """Sphere sizes of the structure group of a conjugation solution."""
+    """Sphere sizes of the structure group of a conjugation solution on a
+    subset that is a union of conjugacy classes (else ValueError)."""
     gens = conjugation_ball_generators(group, subset)
-    return group_ball_enumerate(gens, group, radius, budget).sphere_sizes
+    return class_quotient_spheres(gens, group, radius, budget)
 
 
 def full_conjugation_spheres(

@@ -92,7 +92,7 @@ class TestGroupCommand:
 
     @pytest.mark.parametrize("message", ["Unable to allocate 388. GiB for an array", ""])
     def test_memory_error_exit_code(self, capsys, monkeypatch, message):
-        # the ball oracle of S_8 would ask numpy for hundreds of GiB
+        # an oracle allocation numpy cannot satisfy
         def _exhausted(*args, **kwargs):
             raise MemoryError(message)
 
@@ -156,6 +156,31 @@ class TestGroupCommand:
         )
         assert code == 2 and out == ""
         assert err == f"error: --verify on {family} supported for d <= 8\n"
+
+    def test_verify_s7_to_order_4_in_bounded_memory(self):
+        # the sphere oracle on class states: the element search was killed
+        # for memory here; the child reports its own peak RSS
+        script = (
+            "import resource, sys\n"
+            "from ybe_growth.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["group", "--solution", "permutations", "--d", "7", "--order", "4", "--verify",
+                "--format", "json"]
+        src = str(Path(ybe_growth.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["oracle"] == {
+            "passed": True, "spheres": [1, 10080, 927001, 11126866, 85699292]
+        }
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        peak_mb = int(proc.stderr) / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < 400
 
     def test_permutations_build_no_elements(self, capsys, monkeypatch):
         # the class algebra of S_d comes from partitions, and defect-table

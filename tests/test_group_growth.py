@@ -422,6 +422,20 @@ class TestFullConjugation:
             result = as_full_conjugation_gf(group, 5)
             assert full_conjugation_spheres(group, 5) == result.truncated.integer_coefficients()
 
+    @pytest.mark.parametrize(
+        "d, radius, expected",
+        [
+            (6, 5, [1, 1440, 67265, 619102, 3562516, 16100632]),
+            (7, 4, [1, 10080, 927001, 11126866, 85699292]),
+        ],
+    )
+    def test_oracle_past_the_element_search(self, d, radius, expected):
+        # the class-quotient oracle against the partition route, at radii
+        # where the element search would hold 10^7 to 10^8 codes per level
+        result = as_full_conjugation_gf(SymmetricClasses(d), radius)
+        assert result.truncated.integer_coefficients() == expected
+        assert full_conjugation_spheres(make_symmetric_group(d), radius) == expected
+
     def test_even_dihedral_matches_oracle(self):
         # the engine only requires commutator length 1; the sphere oracle
         # confirms the resulting series for even d as well

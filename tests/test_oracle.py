@@ -23,6 +23,7 @@ from ybe_growth.algebra import (
 from ybe_growth.oracle import (
     BudgetExceededError,
     WindowOrbit,
+    class_quotient_spheres,
     conjugation_ball_generators,
     conjugation_ball_series,
     group_ball_enumerate,
@@ -444,6 +445,54 @@ class TestBallsAgainstReference:
         assert group_ball_enumerate(gens, group, radius, budget=total).states == total
         with pytest.raises(BudgetExceededError):
             group_ball_enumerate(gens, group, radius, budget=total - 1)
+
+
+# conjugation balls for the class quotient, each checked against the element
+# search: the conjugation cases above, S5 on all its classes, and D60 on all
+# its classes, whose codes overflow int64 in both searches
+QUOTIENT_CASES = {
+    **{
+        case: BALL_CASES[case][:2]
+        for case in ("D10-full", "S4-full", "S6-transpositions", "D12-reflections", "S7-transpositions")
+    },
+    "S5-full": (lambda: _conjugation(make_symmetric_group, 5, lambda g: range(1, g.size)), 3),
+    "D60-full": (lambda: _conjugation(make_dihedral_group, 60, lambda g: range(1, g.size)), 2),
+}
+
+
+class TestClassQuotient:
+    @pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+    def test_equals_element_search(self, case):
+        make, radius = QUOTIENT_CASES[case]
+        group, gens = make()
+        spheres = group_ball_enumerate(gens, group, radius).sphere_sizes
+        assert class_quotient_spheres(gens, group, radius) == spheres
+
+    def test_overflow_codes_are_python_ints(self, monkeypatch):
+        dtypes = _level_dtypes(monkeypatch)
+        make, radius = QUOTIENT_CASES["D60-full"]
+        group, gens = make()
+        class_quotient_spheres(gens, group, radius)
+        assert dtypes == {np.dtype(object)}
+
+    def test_generators_must_be_whole_classes(self):
+        group = make_symmetric_group(4)
+        transpositions = symmetric_transpositions(group)
+        with pytest.raises(ValueError, match="union of conjugacy classes"):
+            conjugation_ball_series(group, transpositions[:1], 3)
+        # the whole class, with one member on another vector
+        gens = [(x, (1 + (x == transpositions[0]),)) for x in transpositions]
+        with pytest.raises(ValueError, match="union of conjugacy classes"):
+            class_quotient_spheres(gens, group, 3)
+
+    @pytest.mark.parametrize("case", ["D10-full", "D60-full"])
+    def test_budget_counts_elements(self, case):
+        make, radius = QUOTIENT_CASES[case]
+        group, gens = make()
+        total = group_ball_enumerate(gens, group, radius).states
+        assert sum(class_quotient_spheres(gens, group, radius, budget=total)) == total
+        with pytest.raises(BudgetExceededError):
+            class_quotient_spheres(gens, group, radius, budget=total - 1)
 
 
 def _reference_closure(word, margin):
