@@ -23,15 +23,25 @@ one member of C, and sphere n is the sum of |C| over its states at
 distance n.  The element search (`group_ball_enumerate`) stays for arbitrary
 generators and as the quotient's reference in the tests.
 
-The ball BFS and the window closure keep their states as one sorted 1-D
+The ball BFS and the window closure keep each BFS level as one sorted 1-D
 array of mixed-radix codes (int64, or Python ints in an object array where
-a code would overflow int64; the same lines serve both), deduplicated by
-sort and binary search.  Both run through one level-synchronous traversal,
-`_bfs_levels`: both move sets are closed under inverses, so a new level is
-deduplicated against the two before it only.  The window closure stays in
-code form: it returns a `WindowOrbit`, a read-only set view whose length and
-membership are read off the sorted codes, and which decodes words to tuples
-only when iterated.
+a code would overflow int64; the same lines serve both).  Both run through
+one level-synchronous traversal, `_bfs_levels`, which is told the number of
+possible codes.  When there are at most 2^20 (`_DENSE_CODES`), it marks the
+codes seen in a dense bool array of at most 1 MiB and keeps the unmarked
+ones; otherwise it deduplicates by sort and binary search against the two
+levels before the new one only, which is exact because both move sets are
+closed under inverses.  Both rules give the same levels.
+
+The window closure searches the weight hyperplane of its word: a move adds
+the same shift to two neighbouring letters, one at an even and one at an
+odd position, so the alternating sum of the letters is constant on the
+orbit, and the first n - 1 letters fix the last one.  The search codes
+those n - 1 letters only (31^4 codes instead of 31^5 for five letters in a
+31-letter window).  The closure stays in code form: it returns a
+`WindowOrbit`, a read-only set view whose length and membership are read off
+the sorted codes of whole words, and which decodes words to tuples only when
+iterated.
 """
 
 from __future__ import annotations
@@ -86,16 +96,36 @@ def _new_codes(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray)
     return codes
 
 
-def _bfs_levels(start: np.ndarray, advance, budget: int, what: str, weight=len):
+_DENSE_CODES = 1 << 20  # code spaces up to this size are deduplicated in a bool array
+
+
+def _bfs_levels(start: np.ndarray, advance, budget: int, what: str, *, space: int, weight=len):
     """Yield the BFS levels, sorted code arrays, from the codes `start`:
-    `advance` maps a level to its neighbours' codes, of which those in the two
-    levels before are dropped.  Raises BudgetExceededError once the levels
-    weigh more than `budget` states in all, where `weight` weighs one level
-    (by default its number of codes)."""
+    `advance` maps a level to its neighbours' codes, all in range(space), of
+    which those already reached are dropped.  Raises BudgetExceededError once
+    the levels weigh more than `budget` states in all, where `weight` weighs
+    one level (by default its number of codes).
+
+    A space of at most `_DENSE_CODES` = 2^20 codes (so int64 codes) is
+    deduplicated against a dense bool array of the codes seen, of at most
+    1 MiB: a new level is the sorted distinct neighbours not yet marked.  A
+    larger space, and so every object-dtype one, is deduplicated by sort and
+    binary search against the two levels before the new one only: the moves
+    are closed under inverses, so a neighbour of level k lies in level
+    k - 1, k or k + 1.  Both give the same levels."""
+    seen = np.zeros(space, dtype=bool) if space <= _DENSE_CODES else None
+    if seen is not None:
+        seen[start] = True
     before, frontier, states = start[:0], start, weight(start)
     while True:
         yield frontier
-        before, frontier = frontier, _new_codes(advance(frontier), before, frontier)
+        moved = advance(frontier)
+        if seen is None:
+            before, frontier = frontier, _new_codes(moved, before, frontier)
+        else:
+            frontier = _sorted_unique(moved[~seen[moved]])
+            seen[frontier] = True
+        del moved  # not held across the yield
         states += weight(frontier)
         if states > budget:
             raise BudgetExceededError(f"{what} exceeded {budget} states")
@@ -306,7 +336,7 @@ def group_ball_enumerate(
         moved = states[:, None] + np.multiply.outer(jump, places[0]) + shifts
         return moved.ravel()
 
-    levels = _bfs_levels(root, advance, budget, "ball enumeration")
+    levels = _bfs_levels(root, advance, budget, "ball enumeration", space=group.size * int(places[0]))
     spheres = [len(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
     return BallEnumeration(gens, radius, spheres, sum(spheres))
 
@@ -363,7 +393,8 @@ def class_quotient_spheres(
     def weight(level):
         return int(sizes[class_index(level)].sum())
 
-    levels = _bfs_levels(root, advance, budget, "ball enumeration", weight)
+    space = classes.count * int(places[0])
+    levels = _bfs_levels(root, advance, budget, "ball enumeration", space=space, weight=weight)
     return [weight(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
 
 
@@ -458,34 +489,72 @@ def reflection_orbit_closure(word: Sequence[int], margin: int = 8, max_states: i
     """Braiding orbit of a word over the integers, restricted to the letter
     window [min - margin, max + margin], as a read-only `WindowOrbit` set of
     letter tuples; raises BudgetExceededError when it has more than
-    max(max_states, 1) words.  A word is the base-(window width) code of its
-    letters' offsets from the window's lower end, a Python int where the
-    codes would overflow int64."""
+    max(max_states, 1) words, and ValueError for a negative margin.  A word
+    is the base-(window width) code of its letters' offsets from the
+    window's lower end, a Python int where the codes would overflow int64.
+
+    The search runs on the weight hyperplane of the word.  A move adds the
+    same shift +-(x - y) to two neighbouring letters, one at an even and one
+    at an odd position, so the alternating sum S of the offsets o_0..o_(n-1)
+    is constant on the orbit.  The search codes only o_0..o_(n-2), as the
+    hyper code h in base width, over width^(n-1) codes (dense dedupe up to
+    2^20 of them, `_bfs_levels`).  As width = -1 modulo width + 1, h is
+    (-1)^n times the alternating sum of those offsets modulo width + 1, so
+    o_(n-1) = (h + (-1)^(n-1) S) mod (width + 1); the code of the whole word
+    is h * width + o_(n-1), which orders the words as h does.
+    """
+    if margin < 0:
+        raise ValueError(f"window margin must be non-negative, got {margin}")
     start = tuple(int(a) for a in word)
     n = len(start)
     lo = min(start, default=0) - margin
     width = max(start, default=0) + margin - lo + 1
     places = _places([width] * n)
-    units = places[:-1] + places[1:]  # adds one to the letters at pos, pos + 1
+    offsets = [a - lo for a in start]
+    if n < 2:  # no moves: the word alone
+        code = sum(map(operator.mul, offsets, places.tolist()))
+        return WindowOrbit(np.array([code], dtype=places.dtype), lo, width, places, n)
+    hyper_places = _places([width] * (n - 1))
+    # a move at pos shifts the letters at pos and pos + 1; the last is not coded
+    units = hyper_places.copy()
+    units[:-1] += hyper_places[1:]
+    # (h + turn) mod (width + 1) is the last offset of the word with hyper code h
+    turn = (-1) ** (n - 1) * sum(o if i % 2 == 0 else -o for i, o in enumerate(offsets))
 
     def advance(states):
-        rows = _digit_rows(states, places, width)
-        moved = [states[:0]]  # words of fewer than two letters have no moves
+        # the offsets of each word, decoded once per level
+        letters = [None] * n
+        rest = states
+        for pos in range(n - 2, 0, -1):
+            rest, letters[pos] = rest // width, rest % width
+        letters[0], letters[-1] = rest, (states + turn) % (width + 1)
+        letters = [x.astype(np.int64, copy=False) for x in letters]  # also from Python-int codes
+        moved = []
         for pos in range(n - 1):
-            x, y = rows[:, pos], rows[:, pos + 1]
+            x, y = letters[pos], letters[pos + 1]
             # (x, y) -> (2x - y, x) and its inverse (x, y) -> (y, 2y - x)
             # add +-(x - y) to both letters; one new letter may leave the window
-            for shift, end in ((x - y, 2 * x - y), (y - x, 2 * y - x)):
+            diff = x - y
+            for shift, end in ((diff, x + diff), (-diff, y - diff)):
                 ok = (end >= 0) & (end < width)
-                step = shift[ok].astype(places.dtype, copy=False)
-                moved.append(states[ok] + np.multiply.outer(step, units[pos]))
+                step = shift[ok].astype(states.dtype, copy=False)
+                step *= units[pos]
+                step += states[ok]
+                moved.append(step)
         return np.concatenate(moved)
 
-    first = (np.array([start], dtype=np.int64) - lo).astype(places.dtype, copy=False) @ places
+    first = np.array([sum(map(operator.mul, offsets, hyper_places.tolist()))], dtype=hyper_places.dtype)
     # a word is always in its own closure, whatever max_states
-    levels = _bfs_levels(first, advance, max(max_states, 1), "reflection orbit closure")
+    space = width ** (n - 1)
+    levels = _bfs_levels(first, advance, max(max_states, 1), "reflection orbit closure", space=space)
     # the levels are disjoint, so one sort of all of them orders the orbit
-    states = np.sort(np.concatenate(list(itertools.takewhile(len, levels))))
+    states = np.concatenate(list(itertools.takewhile(len, levels))).astype(places.dtype, copy=False)
+    states.sort()
+    for i in range(0, len(states), _DECODE_CHUNK):
+        chunk = states[i : i + _DECODE_CHUNK]  # a view: converted in place
+        last = (chunk + turn) % (width + 1)
+        chunk *= width
+        chunk += last
     return WindowOrbit(states, lo, width, places, n)
 
 
@@ -500,6 +569,8 @@ def reflection_orbit_equal_infinite(
     means only that no path stays inside the widest window, and a connecting
     path could in principle need letters beyond it.
     """
+    if margin < 0:
+        raise ValueError(f"window margin must be non-negative, got {margin}")
     a, b = tuple(int(x) for x in w1), tuple(int(x) for x in w2)
     if len(a) != len(b):
         return False

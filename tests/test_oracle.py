@@ -369,8 +369,8 @@ def _level_dtypes(monkeypatch) -> set:
     dtypes = set()
     search = oracle._bfs_levels
 
-    def spy(*args):
-        for level in search(*args):
+    def spy(*args, **kwargs):
+        for level in search(*args, **kwargs):
             dtypes.add(level.dtype)
             yield level
 
@@ -521,7 +521,9 @@ def _reference_closure(word, margin):
 WINDOW_WORDS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "reference" / "expected.json").read_text()
 )["window"]
-# words of 16 and 20 letters whose codes overflow int64 at these margins
+# words of 16 and 20 letters whose codes overflow int64 at these margins; the
+# search codes all letters but the last, which fit int64 for the 16-letter word
+# (16^15 = 2^60) and overflow it for the 20-letter one (25^19 > 2^63)
 LONG_WORDS = [((0, 15) * 7 + (7, 8), 0), ((3,) * 20, 12)]
 
 
@@ -645,6 +647,25 @@ class TestWindowClosureAgainstReference:
         closure, ref = reflection_orbit_closure(word, margin), _reference_closure(word, margin)
         _assert_view_matches(closure, ref, monkeypatch, stride=len(ref) // 100 + 1)
 
+    def test_long_word_search_dtypes(self, monkeypatch):
+        # both closures hold Python-int words; only the 20-letter word also
+        # searches on Python ints
+        for (word, margin), dtype in zip(LONG_WORDS, (np.int64, object)):
+            with monkeypatch.context() as m:
+                dtypes = _level_dtypes(m)
+                assert reflection_orbit_closure(word, margin)._states.dtype == object
+            assert dtypes == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("word", [(0, 5), (2,), ()])
+    def test_negative_margins_are_refused(self, word):
+        for margin in (-1, -3):
+            with pytest.raises(ValueError, match="margin"):
+                reflection_orbit_closure(word, margin)
+        with pytest.raises(ValueError, match="margin"):
+            reflection_orbit_equal_infinite(word, word, margin=-5)
+        with pytest.raises(ValueError, match="margin"):
+            reflection_orbit_equal_infinite((0, 1), (1, 2), margin=-5)
+
     def test_benchmark_sizes_keep_int64_codes(self, monkeypatch):
         # the recorded window words at margin 12, and the D10 ball, stay on
         # the int64 path
@@ -656,3 +677,64 @@ class TestWindowClosureAgainstReference:
         group, gens = make()
         group_ball_enumerate(gens, group, radius)
         assert dtypes == {np.dtype(np.int64)}
+
+
+def _captured_search(monkeypatch, run) -> tuple:
+    """The arguments of the one `_bfs_levels` call that `run()` makes."""
+    calls = []
+    search = oracle._bfs_levels
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return search(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_bfs_levels", spy)
+        run()
+    (call,) = calls
+    return call
+
+
+class TestDedupeStrategies:
+    # a recorded window word, read up to its first empty level, and two balls
+    # read through their radius; D10-full at radius 2 spans 20 * 5^7 codes
+    @pytest.mark.parametrize(
+        "case, radius, dense", [("window", None, True), ("S4-full", 4, True), ("D10-full", 2, False)]
+    )
+    def test_dense_and_sorted_levels_agree(self, case, radius, dense, monkeypatch):
+        if case == "window":
+            word = json.loads(next(iter(WINDOW_WORDS["4"])))
+            run, count = (lambda: reflection_orbit_closure(word, margin=12)), None
+        else:
+            group, gens = BALL_CASES[case][0]()
+            run, count = (lambda: group_ball_enumerate(gens, group, radius)), radius + 1
+        (start, advance, budget, what), kwargs = _captured_search(monkeypatch, run)
+        space = kwargs["space"]
+        assert (space <= oracle._DENSE_CODES) is dense
+
+        def levels(limit, budget):
+            """The levels read with the dense limit set to `limit`, and
+            whether the budget ran out."""
+            monkeypatch.setattr(oracle, "_DENSE_CODES", limit)
+            read = []
+            try:
+                search = oracle._bfs_levels(start, advance, budget, what, **kwargs)
+                for level in itertools.islice(search, count):
+                    read.append(level)
+                    if not len(level):
+                        break
+            except BudgetExceededError:
+                return read, True
+            return read, False
+
+        # a limit of 0 keeps the search sorted; a limit of `space` makes it
+        # dense.  The whole search, then a budget one state short of it
+        total = sum(map(len, levels(0, budget)[0]))
+        for allowance, runs_out in ((total, False), (total - 1, True)):
+            (sorted_levels, sorted_out), (dense_levels, dense_out) = (
+                levels(limit, allowance) for limit in (0, space)
+            )
+            assert sorted_out is dense_out is runs_out
+            assert len(sorted_levels) == len(dense_levels) > 1
+            for a, b in zip(sorted_levels, dense_levels):
+                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
