@@ -3,8 +3,8 @@ quandle-type Yang-Baxter solutions, and set partitions.
 
 Groups keep element 0 as the identity.  A group is given either by its
 multiplication table or, for S_d, by its image matrix (one row of images per
-permutation); image groups with n <= DENSE_LIMIT also build the table, larger
-ones multiply by gathering images.  Each group caches one ClassAlgebra: its
+permutation), which it multiplies by gathering images and ranking the result,
+with no table built.  Each group caches one ClassAlgebra: its
 classes, class product table and commutator masks.  `SymmetricClasses` holds
 the ClassAlgebra of S_d computed from partitions and characters instead, with
 no group element, for d past the reach of the element tables.
@@ -28,6 +28,7 @@ from .series import TruncatedSeries
 if TYPE_CHECKING:  # annotations only; the array code imports numpy where it runs
     import numpy as np
 
+# largest group serialised as a multiplication table by `to_json`
 DENSE_LIMIT = 2100
 # largest quandle accepted: validation checks all n^3 triples
 MAX_SOLUTION_SIZE = 512
@@ -159,17 +160,17 @@ class FiniteGroupTable:
 
     table= is a dense n x n numpy table.  images= is an n x d matrix whose
     rows are the d! permutations of {0..d-1}, that is all of S_d, which is a
-    group; (p_a * p_b)(i) = p_a[p_b[i]].  When n <= DENSE_LIMIT the table is
-    built from the image rows; larger image groups (S_7, S_8) multiply by
-    gathering images and ranking the result, free of an n x n table.  Labels
-    of image groups are their cycle notation, made when asked for.
+    group; (p_a * p_b)(i) = p_a[p_b[i]].  An image group keeps only its
+    image rows, for every d: it multiplies by gathering images and ranking
+    the result, and never builds an n x n table.  Labels of image groups are
+    their cycle notation, made when asked for.
 
     Construction checks the group axioms on every element, for every n: the
     identity and two-sided inverses (the 0 in each table row, or the inverse
     permutations) in vectorised passes over all n elements, and
     associativity of a given table by Light's test on a generating set read
-    off the table (two n x n gathers per generator).  A table built from
-    image rows composes permutations, so it is associative by construction.
+    off the table (two n x n gathers per generator).  Image rows compose
+    permutations, so an image group is associative by construction.
     """
 
     def __init__(
@@ -244,8 +245,7 @@ class FiniteGroupTable:
     def _validate(self) -> list[int]:
         """Check the group axioms on every element: element 0 is a two-sided
         identity, every element has a two-sided inverse, and a given table is
-        associative.  Builds the table of a small image group.  Returns the
-        inverses."""
+        associative.  Returns the inverses."""
         import numpy as np
 
         n = self.size
@@ -258,8 +258,6 @@ class FiniteGroupTable:
             perms = np.array_equal(np.sort(images, axis=1), np.broadcast_to(np.arange(d), (n, d)))
             if n != math.factorial(d) or not perms or not np.array_equal(self._rank(images), every):
                 raise ValueError(f"the {n} image rows are not the elements of S_{d}")
-            if n <= DENSE_LIMIT:
-                self._table = np.stack([self.row(a) for a in range(n)])
         elif table.shape != (n, n) or table.min() < 0 or table.max() >= n:
             raise ValueError("table entry out of range")
         if (np.stack([self.products(0, every), self.products(every, 0)]) != every).any():
@@ -359,13 +357,19 @@ class FiniteGroupTable:
     # -- serialisation -------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self._table is None:
+        """{"name", "size", "labels", "mult"}: the multiplication table, built
+        row by row for an image group; refused past DENSE_LIMIT elements."""
+        if self._table is not None:
+            mult = self._table.tolist()
+        elif self.size <= DENSE_LIMIT:
+            mult = [self.row(a).tolist() for a in self.elements()]
+        else:
             raise ValueError(f"group {self.name} is too large to serialise as a table")
         return {
             "name": self.name,
             "size": self.size,
             "labels": [self.label(a) for a in self.elements()],
-            "mult": self._table.tolist(),
+            "mult": mult,
         }
 
     @classmethod

@@ -5,7 +5,7 @@ verify.  Output is deterministic: two runs with the same configuration
 produce byte-identical JSON (timings are therefore printed only in text
 mode).  Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed
 input, 3 budget exceeded (including a verification the budget cut short) or
-memory exhausted.
+memory exhausted, 141 the reader closed the output pipe (128 + SIGPIPE).
 
 Only the commands that build arrays import numpy: `group` and `defect-table`
 on dihedral groups, every `--verify`, `monoid --solution custom-json` and
@@ -514,7 +514,15 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and args.fn is not cmd_defect_table:
             raise UsageError("--format csv is supported by defect-table only")
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, as
+        # the signal module's docs advise, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -485,13 +485,26 @@ class WindowOrbit(Set):
         return set(words)
 
 
+def _window_margin(margin) -> int:
+    """margin as a Python int; ValueError unless it is a non-negative integer
+    (True, 1.5 and "3" are refused, numpy integers accepted)."""
+    try:
+        value = operator.index(margin)
+    except TypeError:
+        value = -1
+    if isinstance(margin, bool) or value < 0:
+        raise ValueError(f"window margin must be a non-negative integer, got {margin!r}")
+    return value
+
+
 def reflection_orbit_closure(word: Sequence[int], margin: int = 8, max_states: int = 500000) -> WindowOrbit:
     """Braiding orbit of a word over the integers, restricted to the letter
     window [min - margin, max + margin], as a read-only `WindowOrbit` set of
     letter tuples; raises BudgetExceededError when it has more than
-    max(max_states, 1) words, and ValueError for a negative margin.  A word
-    is the base-(window width) code of its letters' offsets from the
-    window's lower end, a Python int where the codes would overflow int64.
+    max(max_states, 1) words, and ValueError for a margin that is not a
+    non-negative integer.  A word is the base-(window width) code of its
+    letters' offsets from the window's lower end, a Python int where the
+    codes would overflow int64.
 
     The search runs on the weight hyperplane of the word.  A move adds the
     same shift +-(x - y) to two neighbouring letters, one at an even and one
@@ -503,8 +516,7 @@ def reflection_orbit_closure(word: Sequence[int], margin: int = 8, max_states: i
     o_(n-1) = (h + (-1)^(n-1) S) mod (width + 1); the code of the whole word
     is h * width + o_(n-1), which orders the words as h does.
     """
-    if margin < 0:
-        raise ValueError(f"window margin must be non-negative, got {margin}")
+    margin = _window_margin(margin)
     start = tuple(int(a) for a in word)
     n = len(start)
     lo = min(start, default=0) - margin
@@ -569,8 +581,7 @@ def reflection_orbit_equal_infinite(
     means only that no path stays inside the widest window, and a connecting
     path could in principle need letters beyond it.
     """
-    if margin < 0:
-        raise ValueError(f"window margin must be non-negative, got {margin}")
+    margin = _window_margin(margin)
     a, b = tuple(int(x) for x in w1), tuple(int(x) for x in w2)
     if len(a) != len(b):
         return False

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,11 +202,14 @@ class TestGroups:
         with pytest.raises(ValueError, match="exactly one"):
             FiniteGroupTable(6)
 
-    def test_lazy_group_matches_dense_products(self):
-        s7 = make_symmetric_group(7)
-        perms = _symmetric_reference(7)
+    @pytest.mark.parametrize("d", [4, 6, 7])
+    def test_lazy_group_matches_dense_products(self, d):
+        group, perms = make_symmetric_group(d), _symmetric_reference(d)
         for a, b in [(1, 2), (100, 200), (3000, 44)]:
-            assert perms[s7.mul(a, b)] == perms[a] * perms[b]
+            a, b = a % group.size, b % group.size
+            assert perms[group.mul(a, b)] == perms[a] * perms[b]
+            assert perms[group.row(a)[b]] == perms[a] * perms[b]
+            assert perms[group.conjugate(a, b)] == perms[a] * perms[b] * perms[a].inverse()
 
     def test_broadcast_products_match_permutation_products(self):
         rng = np.random.default_rng(3)
@@ -230,6 +234,22 @@ class TestGroups:
         data = make_symmetric_group(4).to_json()
         assert data["labels"] == [p.label() for p in _symmetric_reference(4)]
         assert FiniteGroupTable.from_json(data).to_json() == data
+
+    def test_symmetric_json_table_is_the_permutation_product_table(self):
+        perms = _symmetric_reference(5)
+        index = {p: i for i, p in enumerate(perms)}
+        assert make_symmetric_group(5).to_json()["mult"] == [[index[p * q] for q in perms] for p in perms]
+
+    def test_symmetric_group_builds_no_table(self):
+        # S_6 keeps its 720 image rows only; a 720 x 720 int64 table is 4.1 MB
+        make_symmetric_group(3)
+        tracemalloc.start()
+        try:
+            make_symmetric_group(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize(
         "size, message",

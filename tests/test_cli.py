@@ -733,6 +733,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
+    def test_closed_pipe_exits_quietly(self):
+        # the reader stops after 20 of the listing's ~340 kB, as `| head -c 20` does
+        src = str(Path(ybe_growth.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ybe_growth.cli", "defect-table", "--solution", "dihedral",
+             "--d", "18", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(20) == b'{\n  "class_product_t'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 141
+        assert "Traceback" not in err and "Error" not in err, err
+        # started with stdout closed, there is no stream to flush: exit 0, as print does
+        closed = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m ybe_growth.cli group --solution permutations --d 4 --order 3 >&-',
+             sys.executable],
+            capture_output=True, text=True, env=env,
+        )
+        assert (closed.returncode, closed.stderr) == (0, "")
+
     def test_package_sources_are_ascii(self):
         sources = sorted(Path(ybe_growth.__file__).parent.glob("*.py"))
         assert len(sources) > 1

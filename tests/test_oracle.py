@@ -665,6 +665,14 @@ class TestWindowClosureAgainstReference:
             reflection_orbit_equal_infinite(word, word, margin=-5)
         with pytest.raises(ValueError, match="margin"):
             reflection_orbit_equal_infinite((0, 1), (1, 2), margin=-5)
+        # not integers: True would pass operator.index as 1
+        for margin in (1.5, True, "3"):
+            with pytest.raises(ValueError, match="margin"):
+                reflection_orbit_closure(word, margin)
+            with pytest.raises(ValueError, match="margin"):
+                reflection_orbit_equal_infinite(word, word, margin=margin)
+            with pytest.raises(ValueError, match="margin"):
+                reflection_orbit_equal_infinite((0, 1), (1, 2), margin=margin)
 
     def test_benchmark_sizes_keep_int64_codes(self, monkeypatch):
         # the recorded window words at margin 12, and the D10 ball, stay on
