@@ -358,7 +358,8 @@ class FiniteGroupTable:
 
     def to_json(self) -> dict:
         """{"name", "size", "labels", "mult"}: the multiplication table, built
-        row by row for an image group; refused past DENSE_LIMIT elements."""
+        row by row for an image group, which is refused past DENSE_LIMIT
+        elements."""
         if self._table is not None:
             mult = self._table.tolist()
         elif self.size <= DENSE_LIMIT:

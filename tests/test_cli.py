@@ -744,14 +744,16 @@ class TestEntryPoint:
         )
         assert proc.stdout.read(20) == b'{\n  "class_product_t'
         proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait() == 141
+        code = proc.wait(timeout=120)
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert code == 141
         assert "Traceback" not in err and "Error" not in err, err
         # started with stdout closed, there is no stream to flush: exit 0, as print does
         closed = subprocess.run(
             ["sh", "-c", 'exec "$0" -m ybe_growth.cli group --solution permutations --d 4 --order 3 >&-',
              sys.executable],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=120,
         )
         assert (closed.returncode, closed.stderr) == (0, "")
 
