@@ -220,7 +220,10 @@ class FiniteGroupTable:
             return self._table[a, b]
         import numpy as np
 
-        a, b = np.broadcast_arrays(a, b)
+        # take_along_axis broadcasts operands of equal rank itself: pad the
+        # lower rank with leading axes rather than gather both at full shape
+        ndim = max(np.ndim(a), np.ndim(b))
+        a, b = (np.reshape(x, (1,) * (ndim - np.ndim(x)) + np.shape(x)) for x in (a, b))
         return self._rank(np.take_along_axis(self.images[a], self.images[b], axis=-1))
 
     def inv(self, a: int) -> int:
@@ -821,19 +824,24 @@ class QuandleSolution:
 
 
 def conjugation_solution(group: FiniteGroupTable, subset: Iterable[int]) -> QuandleSolution:
-    """The conjugation quandle x > y = x y x^-1 on a conjugation-closed subset."""
+    """The conjugation quandle x > y = x y x^-1 on a conjugation-closed subset,
+    from one `products` gather over all pairs; a subset of more than
+    MAX_SOLUTION_SIZE elements is refused before anything is multiplied."""
     elems = sorted(set(int(x) for x in subset))
-    pos = {x: i for i, x in enumerate(elems)}
-    op = []
-    for x in elems:
-        row = []
-        for y in elems:
-            z = group.conjugate(x, y)
-            if z not in pos:
-                raise ValueError(f"subset not closed under conjugation: {x} > {y} = {z}")
-            row.append(pos[z])
-        op.append(row)
-    return QuandleSolution(op, labels=[group.label(x) for x in elems])
+    if len(elems) > MAX_SOLUTION_SIZE:
+        raise ValueError(f"solution of size {len(elems)} exceeds the validation limit {MAX_SOLUTION_SIZE}")
+    import numpy as np
+
+    x = np.array(elems, dtype=np.int64)
+    inverses = np.array([group.inv(a) for a in elems], dtype=np.int64)
+    conj = group.products(group.products(x[:, None], x), inverses[:, None])
+    pos = np.full(group.size, -1, dtype=np.int64)
+    pos[x] = np.arange(len(x))
+    op = pos[conj]
+    if (op < 0).any():
+        i, j = np.argwhere(op < 0)[0]
+        raise ValueError(f"subset not closed under conjugation: {elems[i]} > {elems[j]} = {conj[i, j]}")
+    return QuandleSolution(op.tolist(), labels=[group.label(a) for a in elems])
 
 
 def reflection_solution(d: int) -> QuandleSolution:

@@ -4,8 +4,9 @@ Subcommands: group, monoid, defect-table, egf, normal-form, invariants,
 verify.  Output is deterministic: two runs with the same configuration
 produce byte-identical JSON (timings are therefore printed only in text
 mode).  Exit codes: 0 ok, 1 verification failure, 2 usage error or malformed
-input, 3 budget exceeded (including a verification the budget cut short) or
-memory exhausted, 141 the reader closed the output pipe (128 + SIGPIPE).
+input or a failed write to stdout (such as a full disk), 3 budget exceeded
+(including a verification the budget cut short) or memory exhausted, 141 the
+reader closed the output pipe (128 + SIGPIPE).
 
 Only the commands that build arrays import numpy: `group` and `defect-table`
 on dihedral groups, every `--verify`, `monoid --solution custom-json` and
@@ -113,18 +114,29 @@ def _base_report(args, command: str) -> dict:
     return {"version": __version__, "config": config}
 
 
+class OutputError(Exception):
+    """Writing or flushing stdout failed; the OSError is the cause."""
+
+
 def _emit(report: dict, args, csv_rows=None, text_lines=None) -> None:
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out)
-        for row in csv_rows:
-            writer.writerow(row)
-        sys.stdout.write(out.getvalue())
+        csv.writer(out).writerows(csv_rows)
+        text = out.getvalue()
     else:
-        for line in text_lines or [json.dumps(report, indent=2, sort_keys=True)]:
-            print(line)
+        text = "".join(f"{line}\n" for line in text_lines or [json.dumps(report, indent=2, sort_keys=True)])
+    if sys.stdout is None:  # started with stdout closed: nothing to write to, as for print
+        return
+    try:
+        # in pieces the stream buffers whole: one larger write that the file
+        # takes only in part returns short, and the error that cut it is lost
+        for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+            sys.stdout.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
+        sys.stdout.flush()  # a closed pipe or a full disk shows here, not at interpreter exit
+    except OSError as exc:
+        raise OutputError from exc
 
 
 def cmd_group(args) -> int:
@@ -514,15 +526,16 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and args.fn is not cmd_defect_table:
             raise UsageError("--format csv is supported by defect-table only")
-        code = args.fn(args)
-        if sys.stdout is not None:  # None when started with stdout closed
-            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader went away: send what is still buffered to devnull, as
-        # the signal module's docs advise, and exit as SIGPIPE would
+        return args.fn(args)
+    except OutputError as exc:
+        # send what is still buffered to devnull, as the signal module's docs
+        # advise for a closed pipe, so the exit-time flush writes nothing more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        error = exc.__cause__
+        if isinstance(error, BrokenPipeError):  # the reader went away: exit as SIGPIPE would
+            return 141
+        print(f"error: cannot write output: {error.strerror or error}", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

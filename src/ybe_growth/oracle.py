@@ -12,16 +12,17 @@ length's orbit table.  Orbits are numbered by their minimal word, which is
 built by extending the minimal word of the node's shorter orbit by one
 letter.
 
-The sphere oracle of a conjugation solution searches (conjugacy class,
-lattice vector) states, not elements of G x Z^k.  Its structure group
-embeds in G x Z^k with generators (x, e_C) for x in a class C.  Conjugation
-by any h in G is an automorphism of G x Z^k that fixes the root and maps
-each generator (x, e_C) to the generator (h x h^-1, e_C), so it maps balls
-around the root onto themselves, and word length is constant on each set
-C x {v}.  A BFS over those sets is exact: its moves from (C, v) are read at
-one member of C, and sphere n is the sum of |C| over its states at
-distance n.  The element search (`group_ball_enumerate`) stays for arbitrary
-generators and as the quotient's reference in the tests.
+The sphere oracle is one BFS over (block, lattice vector) states, for a
+partition of G such that word length in G x Z^k is constant on each set
+B x {v}.  Its moves from (B, v) are read at one member of B, and sphere n
+is the sum of |B| over its states at distance n.  Single elements fit any
+generators (`group_ball_enumerate`; over G x Z^0, the Cayley-graph length
+series).  Conjugacy classes fit a conjugation solution
+(`class_quotient_spheres`), whose structure group embeds in G x Z^k with
+generators (x, e_C) for x in a class C: conjugation by any h in G is an
+automorphism of G x Z^k that fixes the root and maps each generator
+(x, e_C) to the generator (h x h^-1, e_C), so word length is constant on
+each set C x {v}.
 
 The ball BFS and the window closure keep each BFS level as one sorted 1-D
 array of mixed-radix codes (int64, or Python ints in an object array where
@@ -46,7 +47,6 @@ iterated.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -84,6 +84,16 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     keep = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
     return codes[keep]
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer matrix, in lexicographic order, and
+    how often each occurs; several times faster than np.unique(axis=0)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return rows[starts], np.diff(starts, append=len(rows))
 
 
 def _new_codes(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -278,41 +288,75 @@ def orbit_equal(
 
 @dataclass
 class BallEnumeration:
-    """Sphere sizes of the subgroup generated inside (group) x Z^rank."""
+    """Sphere sizes of the subgroup generated inside (group) x Z^rank, and their sum."""
 
-    generators: list[tuple[int, tuple[int, ...]]]
-    radius: int
     sphere_sizes: list[int]
     states: int
 
 
-def _ball_moves(
-    generators: Iterable[tuple[int, Sequence[int]]], group: FiniteGroupTable, radius: int, top: int
-):
-    """The moves of a ball search in (group) x Z^rank, with codes whose most
-    significant digit ranges below `top`.
+def _block_spheres(
+    generators: Iterable, group: FiniteGroupTable, radius: int, budget: int, block_of: np.ndarray
+) -> list[int]:
+    """Sphere sizes of the ball of `radius` around the root of (group) x
+    Z^rank, for the generators (x, w) and their inverses (x^-1, -w), by a
+    BFS over (block, lattice vector) states.  block_of[g] numbers the block
+    of g, a single element or a conjugacy class, and the generators must be
+    a union of sets B x {w} (always so for single elements), else ValueError;
+    then word length is constant on each set B x {v}.
 
-    Returns the generators and their inverses (the inverse of (g, v) is
-    (g^-1, -v)) in order of first occurrence, their group elements, the
-    place values of the codes (digit, then each coordinate shifted by r, where
-    r bounds every coordinate inside the ball: the radius, for unit vectors),
-    the code of each generator's lattice step, and the code of the root
-    (digit 0, the zero vector).  The codes are Python ints in object arrays
-    where they would overflow int64.
+    A state is one code: the block above the coordinates of v, each shifted
+    by a bound r on every coordinate inside the ball (the radius, for unit
+    vectors).  The moves from (B, v) are read at the first member b of B,
+    for all blocks from one `products` call: (b x, v + w) lands in (block of
+    b x, v + w), and moves that land alike are kept once.  Sphere n, and the
+    budget, count the elements of the blocks at distance n.
     """
-    pairs = [(int(g), tuple(int(c) for c in vec)) for g, vec in generators]
-    gens = list(dict.fromkeys(p for g, v in pairs for p in ((g, v), (group.inv(g), tuple(-c for c in v)))))
-    rank = len(gens[0][1]) if gens else 0
-    if any(len(v) != rank for _, v in gens):
+    pairs = list(generators)
+    rank = len(pairs[0][1]) if pairs else 0
+    if any(len(w) != rank for _, w in pairs):
         raise ValueError("lattice vectors have mismatched ranks")
-    elems = np.array([g for g, _ in gens], dtype=np.int64)
-    steps = np.array([v for _, v in gens], dtype=np.int64).reshape(len(gens), rank)
+    elems = np.array([x for x, _ in pairs] + [group.inv(x) for x, _ in pairs], dtype=np.int64)
+    steps = np.array([w for _, w in pairs], dtype=np.int64).reshape(len(pairs), rank)
+    moves = _unique_rows(np.column_stack([elems, np.concatenate([steps, -steps])]))[0]
+    elems, steps = moves[:, 0], moves[:, 1:]
+    firsts = np.unique(block_of, return_index=True)[1]
+    sizes, count = np.bincount(block_of), len(firsts)
+    held, counts = _unique_rows(np.column_stack([block_of[elems], steps]))
+    if (counts != sizes[held[:, 0]]).any():
+        raise ValueError("the generators are not a union of conjugacy classes")
     # a state within `radius` steps has every coordinate in [-reach, reach]
     reach = max(radius, 0) * int(np.abs(steps).max(initial=0))
-    places = _places([top] + [2 * reach + 1] * rank)
+    places = _places([count] + [2 * reach + 1] * rank)
     shifts = steps.astype(places.dtype, copy=False) @ places[1:]
-    root = np.array([[0] + [reach] * rank], dtype=places.dtype) @ places
-    return gens, elems, places, shifts, root
+    root = np.array([[int(block_of[0])] + [reach] * rank], dtype=places.dtype) @ places
+    # row b: the code jumps of the moves from block b, each kept once
+    targets = block_of[group.products(firsts[:, None], elems)] - np.arange(count)[:, None]
+    jumps = np.sort(targets.astype(places.dtype, copy=False) * places[0] + shifts, axis=1)
+    keep = np.ones(jumps.shape, dtype=bool)
+    keep[:, 1:] = jumps[:, 1:] != jumps[:, :-1]
+    flat, degree = jumps[keep], keep.sum(axis=1)
+    first = np.cumsum(degree) - degree  # where row b starts in `flat`
+
+    def block_index(states):
+        return (states // places[0]).astype(np.int64, copy=False)
+
+    def advance(states):
+        b = block_index(states)
+        deg = degree[b]
+        # candidate i of state s takes jump first[b_s] + (i - where s's candidates start)
+        index = np.repeat(first[b] - np.cumsum(deg) + deg, deg)
+        index += np.arange(len(index))
+        moved = flat[index]
+        del index  # one candidate-sized array less at the peak
+        moved += np.repeat(states, deg)
+        return moved
+
+    def weight(level):
+        return int(sizes[block_index(level)].sum())
+
+    space = count * int(places[0])
+    levels = _bfs_levels(root, advance, budget, "ball enumeration", space=space, weight=weight)
+    return [weight(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
 
 
 def group_ball_enumerate(
@@ -324,21 +368,12 @@ def group_ball_enumerate(
     """BFS sphere sizes from the identity, using generators and inverses.
 
     Each generator is a pair (group element, lattice vector); its inverse is
-    (inverse element, negated vector).  A state (g, v) is one code, the group
-    element as the most significant digit above the shifted coordinates of v
-    (`_ball_moves`).  Rank 0 is the Cayley graph of the group itself.
+    (inverse element, negated vector).  This is `_block_spheres` over single
+    elements, so any generators are accepted.  Rank 0 is the Cayley graph of
+    the group itself.
     """
-    gens, elems, places, shifts, root = _ball_moves(generators, group, radius, group.size)
-
-    def advance(states):
-        g = (states // places[0]).astype(np.int64, copy=False)
-        jump = (group.products(g[:, None], elems) - g[:, None]).astype(places.dtype, copy=False)
-        moved = states[:, None] + np.multiply.outer(jump, places[0]) + shifts
-        return moved.ravel()
-
-    levels = _bfs_levels(root, advance, budget, "ball enumeration", space=group.size * int(places[0]))
-    spheres = [len(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
-    return BallEnumeration(gens, radius, spheres, sum(spheres))
+    spheres = _block_spheres(generators, group, radius, budget, np.arange(group.size))
+    return BallEnumeration(spheres, sum(spheres))
 
 
 def class_quotient_spheres(
@@ -347,55 +382,15 @@ def class_quotient_spheres(
     radius: int,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> list[int]:
-    """The sphere sizes of `group_ball_enumerate`, from a BFS over the
-    (conjugacy class, lattice vector) states of the ball.
+    """The sphere sizes of `group_ball_enumerate`, from `_block_spheres`
+    over the conjugacy classes: one state per (class, lattice vector).
 
     The generators must be closed under conjugation, taken with their
     inverses: every (x, v) comes with (h x h^-1, v) for every h; otherwise
-    ValueError.  A state is one code, the class index as the most
-    significant digit above the shifted coordinates of v.  From the state
-    (C, v) the moves are read at the first member r of C, once per class:
-    (r x, v + w) for each generator (x, w) lands in (class of r x, v + w),
-    and the moves that land alike are kept once.  Sphere n is the sum of |C|
-    over the states at distance n, and the budget is charged in those
-    element counts, as `group_ball_enumerate` charges its states.
+    ValueError.  Conjugation by h then fixes the root and permutes the
+    generators, so word length is constant on each set C x {v}.
     """
-    classes = group.conjugacy_classes()
-    gens, elems, places, shifts, root = _ball_moves(generators, group, radius, classes.count)
-    held = collections.Counter((classes.class_of[g], v) for g, v in gens)
-    if any(n != classes.sizes[c] for (c, _), n in held.items()):
-        raise ValueError("the generators are not a union of conjugacy classes")
-    class_of, sizes = np.array(classes.class_of), np.array(classes.sizes)
-    # row c: the code jumps of the moves from class c, each kept once, read
-    # off the group row of the class's first member (its products with all of G)
-    rows = np.stack([group.row(members[0]) for members in classes.classes])
-    targets = class_of[rows[:, elems]] - np.arange(classes.count)[:, None]
-    jumps = np.sort(targets.astype(places.dtype, copy=False) * places[0] + shifts, axis=1)
-    keep = np.ones(jumps.shape, dtype=bool)
-    keep[:, 1:] = jumps[:, 1:] != jumps[:, :-1]
-    flat, degree = jumps[keep], keep.sum(axis=1)
-    first = np.cumsum(degree) - degree  # where row c starts in `flat`
-
-    def class_index(states):
-        return (states // places[0]).astype(np.int64, copy=False)
-
-    def advance(states):
-        c = class_index(states)
-        deg = degree[c]
-        # candidate i of state s takes jump first[c_s] + (i - where s's candidates start)
-        index = np.repeat(first[c] - np.cumsum(deg) + deg, deg)
-        index += np.arange(len(index))
-        moved = flat[index]
-        del index  # one candidate-sized array less at the peak
-        moved += np.repeat(states, deg)
-        return moved
-
-    def weight(level):
-        return int(sizes[class_index(level)].sum())
-
-    space = classes.count * int(places[0])
-    levels = _bfs_levels(root, advance, budget, "ball enumeration", space=space, weight=weight)
-    return [weight(level) for level in itertools.islice(levels, max(radius, 0) + 1)]
+    return _block_spheres(generators, group, radius, budget, np.array(group.conjugacy_classes().class_of))
 
 
 def conjugation_ball_generators(

@@ -535,6 +535,41 @@ class TestSolutions:
         sol = conjugation_solution(make_symmetric_group(4), range(24))
         assert sol.size == 24
 
+    @pytest.mark.parametrize("make, d", [(make_symmetric_group, 4), (make_dihedral_group, 6)])
+    def test_conjugation_table_is_elementwise_conjugation(self, make, d):
+        # both group stores: S4 keeps image rows, D6 a table
+        group = make(d)
+        subset = [x for x in group.elements() if x % 3]
+        subset = sorted({group.conjugate(h, x) for h in group.elements() for x in subset})
+        sol = conjugation_solution(group, subset)
+        assert sol.op == tuple(
+            tuple(subset.index(group.conjugate(x, y)) for y in subset) for x in subset
+        )
+        assert sol.labels == tuple(group.label(x) for x in subset)
+
+    def test_first_unclosed_pair_is_named(self):
+        group = make_symmetric_group(4)
+        subset = [1, 2, 5, 9]
+        x, y, z = next(
+            (x, y, group.conjugate(x, y))
+            for x in subset
+            for y in subset
+            if group.conjugate(x, y) not in subset
+        )
+        with pytest.raises(ValueError, match=rf"^subset not closed under conjugation: {x} > {y} = {z}$"):
+            conjugation_solution(group, reversed(subset))
+
+    def test_oversized_subset_is_refused_before_multiplying(self, monkeypatch):
+        group = make_symmetric_group(7)
+
+        def refuse(*args):
+            raise AssertionError("multiplied")
+
+        monkeypatch.setattr(group, "products", refuse)
+        monkeypatch.setattr(group, "mul", refuse)
+        with pytest.raises(ValueError, match=f"of size {MAX_SOLUTION_SIZE + 1} exceeds the validation limit"):
+            conjugation_solution(group, range(MAX_SOLUTION_SIZE + 1))
+
     def test_reflection_solution_values(self):
         sol = reflection_solution(5)
         assert sol.apply(1, 4) == 3

@@ -757,6 +757,38 @@ class TestEntryPoint:
         )
         assert (closed.returncode, closed.stderr) == (0, "")
 
+    def test_closed_pipe_on_csv_exits_141(self):
+        # the ~240 kB listing outgrows the pipe, which takes a single large
+        # write only in part: the closed pipe must still show, as exit 141
+        src = str(Path(ybe_growth.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ybe_growth.cli", "defect-table", "--solution", "dihedral",
+             "--d", "24", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(20) == b"kbar,product_size,de"
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert (code, err) == (141, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [["group", "--solution", "permutations", "--d", "4", "--order", "3"], ["verify", "--criteria", "3"]],
+    )
+    def test_full_disk_is_one_line_exit_2(self, argv):
+        src = str(Path(ybe_growth.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ybe_growth.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        assert (proc.returncode, proc.stderr) == (2, "error: cannot write output: No space left on device\n")
+
     def test_package_sources_are_ascii(self):
         sources = sorted(Path(ybe_growth.__file__).parent.glob("*.py"))
         assert len(sources) > 1

@@ -495,6 +495,31 @@ class TestClassQuotient:
             class_quotient_spheres(gens, group, radius, budget=total - 1)
 
 
+class TestBlockPartitions:
+    # the one search behind both entry points, over single elements and over classes
+
+    def test_mismatched_ranks_are_refused(self):
+        group = make_symmetric_group(3)
+        a, b = symmetric_transpositions(group)[:2]
+        for gens in ([(a, (1,)), (b, (1, 0))], [(a, ()), (a, (1,))]):
+            for search in (group_ball_enumerate, class_quotient_spheres):
+                with pytest.raises(ValueError, match="lattice vectors have mismatched ranks"):
+                    search(gens, group, 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_rank_zero_transpositions_give_solomons_product(self, d):
+        group = make_symmetric_group(d)
+        transpositions = symmetric_transpositions(group)
+        solomon = [1]  # prod_{i < d} (1 + i t), coefficient by coefficient
+        for i in range(1, d):
+            solomon = [a + i * b for a, b in zip(solomon + [0], [0] + solomon)]
+        radius = d + 1  # past the diameter d - 1
+        spheres = class_quotient_spheres([(x, ()) for x in transpositions], group, radius)
+        series, covered = generic_length_series(group, transpositions, radius)
+        assert spheres == list(series.coeffs) == solomon + [0] * (radius + 1 - d)
+        assert covered and sum(spheres) == group.size
+
+
 def _reference_closure(word, margin):
     """The window orbit by depth-first search over tuples, along the moves
     (x, y) -> (2x - y, x) and (x, y) -> (y, 2y - x) that keep every letter in
