@@ -193,6 +193,7 @@ class FiniteGroupTable:
         self._table = None if table is None else np.asarray(table, dtype=np.int64)
         self.images = None if images is None else np.asarray(images, dtype=np.int64)
         self._rank = None if images is None else _image_ranker(self.images)
+        self._columns = None if images is None else np.ascontiguousarray(self.images.T)
         self.labels = None if labels is None else list(labels)
         if labels is not None and len(self.labels) != size:
             raise ValueError("label count does not match group size")
@@ -209,10 +210,9 @@ class FiniteGroupTable:
 
     def row(self, a: int) -> np.ndarray:
         """a * b for every element b."""
-        if self._table is not None:
-            return self._table[a]
-        # (p_a * p_b)(i) = p_a[p_b[i]]: gather p_a through every image row
-        return self._rank(self.images[a][self.images])
+        import numpy as np
+
+        return self.products(a, np.arange(self.size))
 
     def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b elementwise over broadcast arrays of elements."""
@@ -220,11 +220,16 @@ class FiniteGroupTable:
             return self._table[a, b]
         import numpy as np
 
-        # take_along_axis broadcasts operands of equal rank itself: pad the
-        # lower rank with leading axes rather than gather both at full shape
-        ndim = max(np.ndim(a), np.ndim(b))
-        a, b = (np.reshape(x, (1,) * (ndim - np.ndim(x)) + np.shape(x)) for x in (a, b))
-        return self._rank(np.take_along_axis(self.images[a], self.images[b], axis=-1))
+        # (p_a * p_b)(i) = p_a[p_b[i]], gathered from the flat image matrix one
+        # column i at a time into the base-d code the ranker looks up, so no
+        # array of whole image rows is held
+        d = len(self._columns)
+        flat, starts = self.images.ravel(), np.asarray(a) * d
+        code = flat[starts + self._columns[0][b]]
+        for column in self._columns[1:]:
+            code *= d
+            code += flat[starts + column[b]]
+        return self._rank(code, coded=True)
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -310,17 +315,12 @@ class FiniteGroupTable:
         import numpy as np
 
         n = self.size
-        inv = np.asarray(self._inv)
-        if self._table is None:
-            every, inverse_rows = np.arange(n)[:, None], self.images[inv]
+        every, inv = np.arange(n), np.asarray(self._inv)
         raw = []
         unclassed = np.ones(n, dtype=bool)
         while unclassed.any():
             x = int(np.argmax(unclassed))
-            if self._table is not None:
-                orbit = self._table[self._table[:, x], inv]
-            else:  # (h x h^-1)(i) = h[x[h^-1[i]]]
-                orbit = self._rank(self.images[every, self.images[x][inverse_rows]])
+            orbit = self.products(self.products(every, x), inv)  # h x h^-1 for every h
             in_class = np.zeros(n, dtype=bool)
             in_class[orbit] = True
             members = np.flatnonzero(in_class)
@@ -570,8 +570,8 @@ class ClassAlgebra:
 
 def _image_ranker(images: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Rank function of a list of permutations of {0..d-1}, given as an n x d
-    image matrix: maps image rows (an array of any leading shape) to their
-    indices in the list, by looking up base-d codes."""
+    image matrix: maps image rows (an array of any leading shape), or with
+    coded=True their base-d codes, to their indices in the list."""
     import numpy as np
 
     d = images.shape[1]
@@ -580,8 +580,8 @@ def _image_ranker(images: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     order = np.argsort(codes)
     sorted_codes = codes[order]
 
-    def rank(rows: np.ndarray) -> np.ndarray:
-        return order[np.searchsorted(sorted_codes, rows @ radix)]
+    def rank(rows: np.ndarray, coded: bool = False) -> np.ndarray:
+        return order[np.searchsorted(sorted_codes, rows if coded else rows @ radix)]
 
     return rank
 
@@ -824,24 +824,21 @@ class QuandleSolution:
 
 
 def conjugation_solution(group: FiniteGroupTable, subset: Iterable[int]) -> QuandleSolution:
-    """The conjugation quandle x > y = x y x^-1 on a conjugation-closed subset,
-    from one `products` gather over all pairs; a subset of more than
-    MAX_SOLUTION_SIZE elements is refused before anything is multiplied."""
+    """The conjugation quandle x > y = x y x^-1 on a conjugation-closed subset."""
     elems = sorted(set(int(x) for x in subset))
-    if len(elems) > MAX_SOLUTION_SIZE:
+    if len(elems) > MAX_SOLUTION_SIZE:  # refused before |X|^2 conjugations
         raise ValueError(f"solution of size {len(elems)} exceeds the validation limit {MAX_SOLUTION_SIZE}")
-    import numpy as np
-
-    x = np.array(elems, dtype=np.int64)
-    inverses = np.array([group.inv(a) for a in elems], dtype=np.int64)
-    conj = group.products(group.products(x[:, None], x), inverses[:, None])
-    pos = np.full(group.size, -1, dtype=np.int64)
-    pos[x] = np.arange(len(x))
-    op = pos[conj]
-    if (op < 0).any():
-        i, j = np.argwhere(op < 0)[0]
-        raise ValueError(f"subset not closed under conjugation: {elems[i]} > {elems[j]} = {conj[i, j]}")
-    return QuandleSolution(op.tolist(), labels=[group.label(a) for a in elems])
+    pos = {x: i for i, x in enumerate(elems)}
+    op = []
+    for x in elems:
+        row = []
+        for y in elems:
+            z = group.conjugate(x, y)
+            if z not in pos:
+                raise ValueError(f"subset not closed under conjugation: {x} > {y} = {z}")
+            row.append(pos[z])
+        op.append(row)
+    return QuandleSolution(op, labels=[group.label(x) for x in elems])
 
 
 def reflection_solution(d: int) -> QuandleSolution:

@@ -86,16 +86,6 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an integer matrix, in lexicographic order, and
-    how often each occurs; several times faster than np.unique(axis=0)."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return rows[starts], np.diff(starts, append=len(rows))
-
-
 def _new_codes(candidates: np.ndarray, before: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """The distinct candidate codes in neither of the two sorted levels, ascending."""
     codes = _sorted_unique(candidates)
@@ -317,15 +307,20 @@ def _block_spheres(
         raise ValueError("lattice vectors have mismatched ranks")
     elems = np.array([x for x, _ in pairs] + [group.inv(x) for x, _ in pairs], dtype=np.int64)
     steps = np.array([w for _, w in pairs], dtype=np.int64).reshape(len(pairs), rank)
-    moves = _unique_rows(np.column_stack([elems, np.concatenate([steps, -steps])]))[0]
-    elems, steps = moves[:, 0], moves[:, 1:]
+    steps = np.concatenate([steps, -steps])
+    # a move (x, w) as one code: x above the coordinates of w, each shifted by `span`
+    span = int(np.abs(steps).max(initial=0))
+    unit = _places([group.size] + [2 * span + 1] * rank)
+    lattice = (steps + span).astype(unit.dtype) @ unit[1:]
+    distinct = np.unique(elems.astype(unit.dtype) * unit[0] + lattice, return_index=True)[1]
+    elems, steps, lattice = elems[distinct], steps[distinct], lattice[distinct]
     firsts = np.unique(block_of, return_index=True)[1]
     sizes, count = np.bincount(block_of), len(firsts)
-    held, counts = _unique_rows(np.column_stack([block_of[elems], steps]))
-    if (counts != sizes[held[:, 0]]).any():
+    held, counts = np.unique(block_of[elems].astype(unit.dtype) * unit[0] + lattice, return_counts=True)
+    if (counts != sizes[(held // unit[0]).astype(np.int64)]).any():
         raise ValueError("the generators are not a union of conjugacy classes")
     # a state within `radius` steps has every coordinate in [-reach, reach]
-    reach = max(radius, 0) * int(np.abs(steps).max(initial=0))
+    reach = max(radius, 0) * span
     places = _places([count] + [2 * reach + 1] * rank)
     shifts = steps.astype(places.dtype, copy=False) @ places[1:]
     root = np.array([[int(block_of[0])] + [reach] * rank], dtype=places.dtype) @ places
@@ -370,7 +365,9 @@ def group_ball_enumerate(
     Each generator is a pair (group element, lattice vector); its inverse is
     (inverse element, negated vector).  This is `_block_spheres` over single
     elements, so any generators are accepted.  Rank 0 is the Cayley graph of
-    the group itself.
+    the group itself.  The move table, one product per element and distinct
+    move, is built for all of G before the search starts, whatever the
+    radius: the budget bounds the states reached, not that table.
     """
     spheres = _block_spheres(generators, group, radius, budget, np.arange(group.size))
     return BallEnumeration(spheres, sum(spheres))
