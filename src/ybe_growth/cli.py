@@ -361,7 +361,15 @@ def cmd_egf(args) -> int:
 def _parse_word(args) -> ReflectionWord:
     if args.word is None:
         raise UsageError("need --word with comma-separated letters")
-    letters = [int(x) for x in str(args.word).split(",") if x.strip() != ""]
+    text = str(args.word)
+    letters = []
+    for letter in text.split(",") if text.strip() else []:  # blank: the empty word
+        if not letter.strip():
+            raise UsageError(f"--word has an empty letter: {text!r}")
+        try:
+            letters.append(int(letter))
+        except ValueError:
+            raise UsageError(f"--word letters must be integers, got {letter!r}") from None
     if args.infinite:
         if args.d is not None:
             raise UsageError("--d and --infinite exclude each other")

@@ -360,15 +360,30 @@ def _exact(*boxes) -> list[np.ndarray]:
     return [x.astype(dtype) for x in arrays]
 
 
-def _distinct(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct pair (x[i], y[i]), and each pair's
-    position among them, with every pair taken as one integer code."""
+def _distinct(x: np.ndarray, y: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """The distinct pairs (x[i], y[i]) in ascending order, as two lists of
+    ints, and each pair's position among them.
+
+    Each pair is taken as one integer code.  When the codes are int64 and
+    their space is at most four times their number, they are marked in a bool
+    array of that space, and a running count of the marks numbers them: a
+    bool array and an int64 count, each the size of the space, so at most 36
+    bytes per pair.  Larger spaces and object codes are sorted
+    (`np.unique`).  Both give the same pairs in the same order."""
     import numpy as np
 
-    low = y.min(initial=0)
-    code = (x - x.min(initial=0)) * (y.max(initial=0) - low + 1) + (y - low)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    return first, inverse
+    low_x, low_y = x.min(initial=0), y.min(initial=0)
+    width = y.max(initial=0) - low_y + 1
+    code = (x - low_x) * width + (y - low_y)
+    space = (x.max(initial=0) - low_x + 1) * width
+    if code.dtype != object and space <= 4 * len(code):
+        seen = np.zeros(space, dtype=bool)
+        seen[code] = True
+        keys = np.flatnonzero(seen)
+        inverse = np.cumsum(seen)[code] - 1
+    else:
+        keys, inverse = np.unique(code, return_inverse=True)
+    return (keys // width + low_x).tolist(), (keys % width + low_y).tolist(), inverse
 
 
 def triple_gcd_witness(a: int, b: int, c: int, parity: Optional[int] = None) -> int:
@@ -390,8 +405,12 @@ def gcd_witnesses(a, b, c, parity: Optional[int] = None) -> np.ndarray:
     c[i]) of three 1-D integer arrays, every row under the one parity.
 
     Each distinct reduced pair (a/g, b/g) is solved once per call, and
-    every row's answer is checked.  The result is int64, or object when the
-    inputs are too large for int64 to hold every intermediate.
+    every row's answer is checked.  The pairs are found in a bool array over
+    their code space when it is at most four times the number of rows, and
+    by sorting otherwise (`_distinct`); the bool array and its int64
+    running count hold at most four entries per row each.  The result is
+    int64, or object when the inputs are too large for int64 to hold every
+    intermediate.
     """
     import numpy as np
 
@@ -405,8 +424,8 @@ def gcd_witnesses(a, b, c, parity: Optional[int] = None) -> np.ndarray:
             raise ValueError("parity constraint needs a, b of different parity")
     g = np.gcd(np.gcd(a, b), c)
     ar, br = a // g, b // g
-    first, inverse = _distinct(ar, br)
-    solved = [_reduced_witness(x, y, parity) for x, y in zip(ar[first].tolist(), br[first].tolist())]
+    xs, ys, inverse = _distinct(ar, br)
+    solved = [_reduced_witness(x, y, parity) for x, y in zip(xs, ys)]
     n = np.array(solved, dtype=a.dtype)[inverse]
     if (np.gcd(a + n * c, b + n * c) != g).any() or (parity is not None and (n % 2 != parity).any()):
         raise AssertionError("gcd witness failed verification")
@@ -450,8 +469,12 @@ def coprime_lifts(values, d: int, force_odd: bool = False) -> np.ndarray:
     integer array, every row under the one d and force_odd.
 
     Each distinct (anchor, value) pair is solved once per call, and every
-    row's lifted values are checked.  The result is int64, or object when
-    the inputs are too large for int64 to hold every intermediate.
+    row's lifted values are checked.  The pairs are found in a bool array
+    over their code space when it is at most four times the number of
+    values, and by sorting otherwise (`_distinct`); the bool array and its
+    int64 running count hold at most four entries per value each.  The
+    result is int64, or object when the inputs are too large for int64 to
+    hold every intermediate.
     """
     import numpy as np
 
@@ -476,15 +499,13 @@ def coprime_lifts(values, d: int, force_odd: bool = False) -> np.ndarray:
     anchor_at = nonzero[rows].argmax(axis=1)
     paired = lifted[rows]
     anchors = np.repeat(paired[np.arange(len(rows)), anchor_at], paired.shape[1])
-    first, inverse = _distinct(anchors, paired.ravel())
-    solved = [
-        _pair_lift(x, v, step) for x, v in zip(anchors[first].tolist(), paired.ravel()[first].tolist())
-    ]
+    xs, vs, inverse = _distinct(anchors, paired.ravel())
+    solved = [_pair_lift(x, v, step) for x, v in zip(xs, vs)]
     m = np.ones_like(values)
     m[rows] = np.array(solved, dtype=values.dtype)[inverse].reshape(paired.shape)
     m[rows, anchor_at] = 0
     final = lifted + m * step
-    if (np.gcd.reduce(final, axis=1) != np.gcd(d, np.gcd.reduce(values, axis=1))).any():
+    if (_gcd_of_arrays(*final.T) != _gcd_of_arrays(d, *values.T)).any():
         raise AssertionError("coprime lift failed verification")
     if force_odd and (final % 2 == 0).any():
         raise AssertionError("coprime lift failed the parity requirement")

@@ -12,6 +12,7 @@ test suite can assert.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Callable, Optional
@@ -355,7 +356,7 @@ def check_invariant_completeness() -> CriterionResult:
             # weight, density, anchor, essential even and odd lengths; a field
             # out of its bound raises rather than colliding with another key
             keys = np.ravel_multi_index(fields, (d, d + 1, d, n + 1, n + 1))
-            classes_ok &= len(np.unique(keys)) == enum.counts[n]
+            classes_ok &= len(np.flatnonzero(np.bincount(keys))) == enum.counts[n]
             nf_ok &= all(
                 enum.same_orbit(rep, reflection_normal_form(ReflectionWord(rep, d)).word.letters)
                 for rep in enum.representatives[n]
@@ -450,8 +451,8 @@ def check_constructive_lemmas() -> CriterionResult:
             for force_odd in (False, True) if d % 2 else (False,):
                 lift_cases += len(values)
                 final = values + coprime_lifts(values, d, force_odd) * d
-                lifted_gcd = np.gcd.reduce(final, axis=1)
-                lift_ok &= bool((lifted_gcd == np.gcd(d, np.gcd.reduce(values, axis=1))).all())
+                lifted_gcd = functools.reduce(np.gcd, final.T)
+                lift_ok &= bool((lifted_gcd == functools.reduce(np.gcd, values.T, d)).all())
                 lift_ok &= not (force_odd and (final % 2 == 0).any())
     return CriterionResult(
         "12",

@@ -677,6 +677,24 @@ class TestOtherCommands:
         code, _, err = run_cli(["invariants", "--word", "1,2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("1,,2", "error: --word has an empty letter: '1,,2'\n"),
+            (",1", "error: --word has an empty letter: ',1'\n"),
+            ("1,", "error: --word has an empty letter: '1,'\n"),
+            ("1,x", "error: --word letters must be integers, got 'x'\n"),
+        ],
+    )
+    def test_malformed_word_is_usage_error(self, capsys, word, message):
+        for command in ("invariants", "normal-form"):
+            assert run_cli([command, f"--word={word}", "--d", "5"], capsys) == (2, "", message)
+
+    def test_empty_word_argument_is_the_empty_word(self, capsys):
+        code, out, _ = run_cli(["invariants", "--word", "", "--d", "5", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["invariants"]["length"] == 0
+
     def test_modulus_and_infinite_exclude_each_other(self, capsys):
         for command in ("invariants", "normal-form"):
             result = run_cli([command, "--word", "1,2", "--d", "5", "--infinite"], capsys)
@@ -856,6 +874,23 @@ class TestEntryPoint:
         assert codes == [0] * len(argvs)
         assert not imported and not closed
         assert verified == 0 and loaded
+
+    def test_verify_lemmas_load_no_numpy_ma(self):
+        # under numpy 2.x a plain np.unique imports numpy.ma, about 15 ms
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from ybe_growth.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--criteria', '10,12'])\n"
+            "print(json.dumps([code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules]))\n"
+        )
+        src = str(Path(ybe_growth.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, True, False]
 
     def test_package_imports_no_random(self):
         for path in sorted(Path(ybe_growth.__file__).parent.glob("*.py")):

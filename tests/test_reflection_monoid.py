@@ -614,6 +614,46 @@ class TestBoxForms:
             gcd_witnesses(np.array([2.5, 1.0]), [4, 3], [3, 3])
 
 
+class TestDedupeStrategies:
+    """A box's keys are found in a bool array over their code space when that
+    space is at most four times the number of codes, and by sorting
+    (`np.unique`) otherwise.  One row spread to a value of 10**6 makes the
+    space too large; both boxes equal their one-row calls."""
+
+    @staticmethod
+    def _box_call(monkeypatch, call, *args):
+        """call(*args), and how many times it sorted."""
+        sorts = []
+        unique = np.unique
+
+        def spy(*a, **k):
+            sorts.append(a)
+            return unique(*a, **k)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "unique", spy)
+            result = call(*args)
+        return result, len(sorts)
+
+    @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("parity", [None, 0, 1])
+    def test_witnesses(self, monkeypatch, parity, spread):
+        rows = _mixed_triples(parity) + [(0, 10**6 + 1, 3)] * spread
+        n, sorts = self._box_call(monkeypatch, gcd_witnesses, *np.array(rows).T, parity)
+        assert sorts == spread
+        assert n.dtype == np.int64
+        assert n.tolist() == [triple_gcd_witness(a, b, c, parity) for a, b, c in rows]
+
+    @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("d, force_odd", [(1, False), (9, True)])
+    def test_lifts(self, monkeypatch, d, force_odd, spread):
+        rows = _mixed_lifts(3) + [(1, 10**6, 2)] * spread
+        m, sorts = self._box_call(monkeypatch, coprime_lifts, np.array(rows), d, force_odd)
+        assert sorts == spread
+        assert m.dtype == np.int64
+        assert m.tolist() == [lift_to_coprime(values, d, force_odd) for values in rows]
+
+
 class TestLemmasPastInt64:
     """Inputs whose intermediates leave int64 take the object-dtype path; its
     answers are recomputed here with math.gcd on Python ints."""
