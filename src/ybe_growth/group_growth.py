@@ -12,6 +12,7 @@ The engine reads only `group.class_algebra()` and `group.name`, so it takes a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence, Union
 
 from .algebra import BudgetExceededError, ClassAlgebra, FiniteGroupTable
@@ -217,48 +218,64 @@ def defect_series(
         if ops[0] > state_budget:
             raise BudgetExceededError("defect closed-form extraction exceeded state budget")
 
-    # suffix(i, mask) is an integer polynomial (ascending coefficients) over
-    # (1 - t^2)^(count - i): each class contributes one factor, through its
-    # tail, so denominators never compound.  Memo lists are shared: never
-    # mutate one.
-    memo: dict[tuple[int, int], list[int]] = {}
+    # suffix(i, mask) is (num, p): an integer polynomial num (ascending
+    # coefficients, no trailing zeros, [] for zero) over (1 - t^2)^p.  Each
+    # term keeps its own entry's denominator until the sum lifts it to the
+    # largest, so p grows only through a nonzero tail.  Memo entries are
+    # shared: never mutate one.
+    memo: dict[tuple[int, int], tuple[list[int], int]] = {}
 
-    def add_shifted(total: list[int], k: int, num: list[int]) -> None:
-        """total += 2 t^k num, in place."""
+    def add_shifted(total: list[int], k: int, weight: int, num: Sequence[int]) -> None:
+        """total += weight t^k num, in place."""
         if len(total) < k + len(num):
             total.extend([0] * (k + len(num) - len(total)))
         for j, c in enumerate(num, k):
-            total[j] += 2 * c
+            total[j] += weight * c
 
-    def suffix(i: int, mask: int) -> list[int]:
+    def suffix(i: int, mask: int) -> tuple[list[int], int]:
         if i == data.count:
-            return [data.defect_of_mask(mask)]
+            defect = data.defect_of_mask(mask)
+            return ([defect] if defect else []), 0
         key = (i, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
         prefix, s = data.chain(mask, i)
         spend(len(prefix))
-        total = list(suffix(i + 1, prefix[0]))  # k = 0, weight 1
-        for k in range(1, len(prefix)):
-            add_shifted(total, k, suffix(i + 1, prefix[k]))
-        # tail: masks alternate between prefix[s] and prefix[s+1] from k = s+2
-        # on, a series in t^2, so the finite part takes one more (1 - t^2)
-        total.extend((0, 0))
-        for j in range(len(total) - 1, 1, -1):
-            total[j] -= total[j - 2]
-        add_shifted(total, s + 2, suffix(i + 1, prefix[s]))
-        add_shifted(total, s + 3, suffix(i + 1, prefix[s + 1]))
-        memo[key] = total
-        return total
+        subs = [suffix(i + 1, m) for m in prefix]
+        # levels[p] sums the terms over (1 - t^2)^p.  The tail (masks
+        # alternating between prefix[s] and prefix[s+1] from k = s+2 on) is a
+        # series in t^2, so its two terms take one more factor.
+        levels: dict[int, list[int]] = {}
+        for k, (num, p) in enumerate(subs):
+            if num:
+                add_shifted(levels.setdefault(p, []), k, 2 if k else 1, num)
+        for k in (s, s + 1):
+            num, p = subs[k]
+            if num:
+                add_shifted(levels.setdefault(p + 1, []), k + 2, 2, num)
+        total, high = [], 0
+        if levels:
+            low, high = min(levels), max(levels)
+            total = levels[low]
+            for p in range(low + 1, high + 1):
+                total.extend((0, 0))  # times (1 - t^2): one level up
+                for j in range(len(total) - 1, 1, -1):
+                    total[j] -= total[j - 2]
+                add_shifted(total, 0, 1, levels.get(p, ()))
+            while total and total[-1] == 0:
+                total.pop()
+        memo[key] = (total, high) if total else ([], 0)
+        return memo[key]
 
     try:
-        num, den_power = Polynomial(suffix(1, 1)), data.count - 1
+        coeffs, den_power = suffix(1, 1)
     except BudgetExceededError as exc:
         truncated = _defect_truncated_signed(data, order, state_budget * 10)
         return DefectSeriesResult(
             truncated, None, "truncated-only", diagnostic=str(exc)
         )
+    num = Polynomial(coeffs)
 
     while den_power > 0:
         q, r = num.divmod(ONE_MINUS_T2)
@@ -318,15 +335,25 @@ def _defect_truncated_signed(
 ) -> TruncatedSeries:
     """Direct truncated enumeration over signed exponent tuples, memoised by
     (class position, reachable mask).  Valid with or without self-inverse
-    classes; used both as the general fallback and as the closed-form check."""
-    ops = [0]
-    memo: dict[tuple[int, int], list[int]] = {}
+    classes; used both as the general fallback and as the closed-form check.
 
-    def suffix(i: int, mask: int) -> list[int]:
+    Each memo entry is one int holding coefficient j in bits [jB, (j+1)B)
+    (Kronecker substitution), so a term is one shift and one add.  Every
+    coefficient is a sum of defects, each at most |[G,G]|, over the signed
+    exponent tuples of that size, of which there are at most
+    [t^j]((1+t)/(1-t))^(c-1): B bits hold it with no carry between fields."""
+    rank = data.count - 1
+    tuples = max(1, sum(
+        2**i * comb(rank, i) * comb(order - 1, i - 1) for i in range(1, min(rank, order) + 1)
+    ))  # [t^order]((1+t)/(1-t))^rank, the largest coefficient through t^order
+    width = (data.commutator_size * tuples).bit_length() + 1
+    truncate = (1 << (order + 1) * width) - 1
+    ops = [0]
+    memo: dict[tuple[int, int], int] = {}
+
+    def suffix(i: int, mask: int) -> int:
         if i == data.count:
-            out = [0] * (order + 1)
-            out[0] = data.defect_of_mask(mask)
-            return out
+            return data.defect_of_mask(mask)
         key = (i, mask)
         hit = memo.get(key)
         if hit is not None:
@@ -334,20 +361,21 @@ def _defect_truncated_signed(
         ops[0] += 1
         if ops[0] > state_budget:
             raise BudgetExceededError("defect enumeration exceeded state budget")
-        total = list(suffix(i + 1, mask))
-        for inverse in (False, True):
-            m = mask
-            cls = data.inverse_class[i] if inverse else i
+        total = suffix(i + 1, mask)
+        inverse = data.inverse_class[i]
+        # a self-inverse class meets the same masks with either sign
+        for cls, weight in ((i, 2),) if inverse == i else ((i, 1), (inverse, 1)):
+            m, walk = mask, 0
             for k in range(1, order + 1):
                 m = data.mask_times_class(m, cls)
-                sub = suffix(i + 1, m)
-                for j in range(k, order + 1):
-                    total[j] += sub[j - k]
+                walk += suffix(i + 1, m) << (k * width)
+            total += weight * walk
+        total &= truncate
         memo[key] = total
         return total
 
-    coeffs = suffix(1, 1)
-    return TruncatedSeries(coeffs)
+    packed, field = suffix(1, 1), (1 << width) - 1
+    return TruncatedSeries((packed >> (j * width)) & field for j in range(order + 1))
 
 
 def is_commutator_length_one(group: FiniteGroupTable) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -330,6 +331,41 @@ def _cyclic_group(n):
     return FiniteGroupTable(n, table=table, name=f"Z{n}")
 
 
+def _frobenius_21():
+    """7:3, the maps x -> ax + b mod 7 with a in {1, 2, 4}; the identity first.
+    Classes of sizes 1, 3, 3, 7, 7: two pairs of mutually inverse classes."""
+    from ybe_growth.algebra import FiniteGroupTable
+
+    maps = [(a, b) for a in (1, 2, 4) for b in range(7)]
+    index = {m: n for n, m in enumerate(maps)}
+    table = [[index[(a * c % 7, (a * e + b) % 7)] for c, e in maps] for a, b in maps]
+    return FiniteGroupTable(21, table=table, name="F21")
+
+
+def _list_truncated_signed(data, order):
+    """The self-check as coefficient lists: the reference the packed ints
+    must decode to."""
+    memo = {}
+
+    def suffix(i, mask):
+        if i == data.count:
+            return [data.defect_of_mask(mask)] + [0] * order
+        key = (i, mask)
+        if key not in memo:
+            total = list(suffix(i + 1, mask))
+            for cls in (i, data.inverse_class[i]):
+                m = mask
+                for k in range(1, order + 1):
+                    m = data.mask_times_class(m, cls)
+                    sub = suffix(i + 1, m)
+                    for j in range(k, order + 1):
+                        total[j] += sub[j - k]
+            memo[key] = total
+        return memo[key]
+
+    return TruncatedSeries(suffix(1, 1))
+
+
 class TestNonSelfInverseClasses:
     def test_cyclic_defect_is_truncated_only(self):
         # Z_3 has mutually inverse singleton classes; every defect vanishes
@@ -346,6 +382,40 @@ class TestNonSelfInverseClasses:
             expected = expand_rational(RationalGF((ONE + T) ** n, ONE_MINUS_T**n), 4)
             assert result.truncated.coeffs == expected.coeffs
             assert full_conjugation_spheres(group, 4) == result.truncated.integer_coefficients()
+
+    def test_frobenius_21_matches_element_products(self):
+        # the only fixture whose self-check walks two directions with nonzero defects
+        group = _frobenius_21()
+        data = group.class_algebra()
+        assert data.sizes == (1, 3, 3, 7, 7)
+        assert sum(data.inverse_class[i] != i for i in range(data.count)) == 4
+        oracle = _element_level_defect_coefficients(group, 4)
+        assert oracle == [6, 16, 6, 0, 0]
+        result = defect_series(group, 4)
+        assert result.classification == "truncated-only"
+        assert result.truncated.integer_coefficients() == oracle
+
+    def test_frobenius_21_growth(self):
+        group = _frobenius_21()
+        result = as_full_conjugation_gf(group, 4)
+        coeffs = result.truncated.integer_coefficients()
+        assert coeffs[:4] == [1, 42, 306, 1162]
+        assert (result.class_count, result.commutator_size) == (5, 7)
+        assert full_conjugation_spheres(group, 4) == coeffs
+
+
+class TestPackedSelfCheck:
+    @pytest.mark.parametrize(
+        "make, order",
+        [(lambda: make_dihedral_group(6), 300), (lambda: SymmetricClasses(5), 20),
+         (_frobenius_21, 12)],
+        ids=["D6", "S5", "F21"],
+    )
+    def test_matches_list_form(self, make, order):
+        # the field width must hold every coefficient: a carry would show here
+        data = make().class_algebra()
+        packed = _defect_truncated_signed(data, order, DEFAULT_DEFECT_BUDGET)
+        assert packed == _list_truncated_signed(data, order)
 
 
 class TestFullConjugation:
@@ -372,6 +442,26 @@ class TestFullConjugation:
         ]
         assert result.defect.classification == "finite"
         assert (result.class_count, result.commutator_size) == (30, 181440)
+
+    def test_s10_memory(self):
+        # per-entry denominators keep the recursion's memo entries short
+        tracemalloc.start()
+        try:
+            as_full_conjugation_gf(SymmetricClasses(10), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8, 9, 10])
+    def test_symmetric_defect_support(self, d):
+        # Delta_{S_d} is a polynomial of degree d - 2, except for S_4's rays
+        result = defect_series(SymmetricClasses(d), 2)
+        if d == 4:
+            assert result.classification == "finite-plus-axis-rays"
+        else:
+            assert result.classification == "finite"
+            assert result.polynomial_part.degree == d - 2
 
     def test_s3_closed_form(self):
         result = as_full_conjugation_gf(make_symmetric_group(3), 5)
