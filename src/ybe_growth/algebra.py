@@ -61,16 +61,36 @@ def _cycles(images: Sequence[int]) -> list[list[int]]:
     return cycles
 
 
-def _cycle_notation(cycles: list[list[int]], names: Sequence[str]) -> str:
-    """The cycles written with point x named names[x]; "e" if there are none."""
-    return "".join(["(" + " ".join(map(names.__getitem__, cycle)) + ")" for cycle in cycles]) or "e"
+def _label_cycles(images: Sequence[int], names: Sequence[str]) -> tuple[str, list[int]]:
+    """The cycle notation of the permutation i -> images[i], with point x
+    named names[x] ("e" if it has no cycle of length > 1), and the lengths of
+    those cycles, built in one walk: cycles in order of their smallest point,
+    each written from it, as `_cycles` finds them."""
+    seen = 0  # bit x: point x already written
+    parts = []
+    lengths = []
+    for start, x in enumerate(images):
+        if x == start or seen >> start & 1:
+            continue
+        parts.append("(")
+        parts.append(names[start])
+        n = 1
+        while x != start:
+            seen |= 1 << x
+            parts.append(" ")
+            parts.append(names[x])
+            x = images[x]
+            n += 1
+        parts.append(")")
+        lengths.append(n)
+    return "".join(parts) or "e", lengths
 
 
 def cycle_label(images: Sequence[int]) -> str:
     """Cycle notation of the permutation i -> images[i] of {0..d-1}: points
     written 1-based, cycles in order of their smallest point, fixed points
     left out, and "e" for the identity."""
-    return _cycle_notation(_cycles(images), [str(x + 1) for x in range(len(images))])
+    return _label_cycles(images, [str(x + 1) for x in range(len(images))])[0]
 
 
 class Permutation:
@@ -707,8 +727,9 @@ class SymmetricClasses:
         index = {tuple(sorted(p for p in lam if p > 1)): k for k, lam in enumerate(self.cycle_types)}
         labels: list[list[str]] = [[] for _ in self.cycle_types]
         for images in itertools.permutations(range(self.d)):
-            cycles = _cycles(images)
-            labels[index[tuple(sorted(map(len, cycles)))]].append(_cycle_notation(cycles, names))
+            label, lengths = _label_cycles(images, names)
+            lengths.sort()
+            labels[index[tuple(lengths)]].append(label)
         return labels
 
 

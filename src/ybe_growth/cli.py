@@ -118,15 +118,45 @@ class OutputError(Exception):
     """Writing or flushing stdout failed; the OSError is the cause."""
 
 
+def _json_text(value, pad: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, with
+    every line after the first indented by `pad`.  Only ints, strs, dicts
+    with str keys, and lists and tuples are written here, and a list of ints
+    or of strs in one join; every other value, empty containers included,
+    goes to `json.dumps` itself, so it is written, or refused with TypeError,
+    as `json.dumps` would.  (`json.dumps` with an indent runs the
+    pure-Python encoder, one call per scalar.)"""
+    kind = type(value)  # a bool or an int subclass is no int here
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict and value and all(type(key) is str for key in value):
+        encode = json.encoder.encode_basestring_ascii
+        body = sep.join([f"{encode(key)}: {_json_text(value[key], inner)}" for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if (kind is list or kind is tuple) and value:
+        if all(type(x) is int for x in value):
+            body = sep.join(map(str, value))
+        elif all(type(x) is str for x in value):
+            body = sep.join(map(json.encoder.encode_basestring_ascii, value))
+        else:
+            body = sep.join([_json_text(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(report: dict, args, csv_rows=None, text_lines=None) -> None:
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json_text(report) + "\n"
     elif args.format == "csv":
         out = io.StringIO()
         csv.writer(out).writerows(csv_rows)
         text = out.getvalue()
     else:
-        text = "".join(f"{line}\n" for line in text_lines or [json.dumps(report, indent=2, sort_keys=True)])
+        text = "".join(f"{line}\n" for line in text_lines)
     if sys.stdout is None:  # started with stdout closed: nothing to write to, as for print
         return
     try:

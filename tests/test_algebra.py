@@ -15,6 +15,7 @@ from ybe_growth.algebra import (
     SymmetricClasses,
     class_product_table,
     conjugation_solution,
+    cycle_label,
     dihedral_reflections,
     enumerate_set_partitions,
     generic_length_series,
@@ -121,6 +122,14 @@ class TestPermutation:
     def test_inverse(self):
         p = Permutation((2, 0, 1))
         assert (p * p.inverse()).images == (0, 1, 2)
+
+    def test_cycle_label(self):
+        # cycles in order of their smallest point, each written from it, 1-based
+        assert cycle_label(()) == cycle_label((0, 1, 2)) == "e"
+        assert cycle_label((1, 0, 3, 4, 2)) == "(1 2)(3 4 5)"
+        assert cycle_label((2, 0, 1)) == "(1 3 2)"
+        assert cycle_label((5, 1, 0, 4, 3, 2, 6)) == "(1 6 3)(4 5)"
+        assert cycle_label(tuple(range(9, -1, -1))) == "(1 10)(2 9)(3 8)(4 7)(5 6)"
 
 
 class TestGroups:
@@ -473,6 +482,14 @@ class TestSymmetricClassesFromPartitions:
                      "commutator_mask", "commutator_size"):
             assert getattr(by_partitions, attr) == getattr(by_elements, attr), attr
         assert classes.class_labels() == [[perms[x].label() for x in c] for c in dec.classes]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_class_labels_group_cycle_labels_by_type(self, d):
+        classes = SymmetricClasses(d)
+        by_type = {lam: [] for lam in classes.cycle_types}
+        for images in itertools.permutations(range(d)):
+            by_type[Permutation(images).cycle_type()].append(cycle_label(images))
+        assert classes.class_labels() == [by_type[lam] for lam in classes.cycle_types]
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_character_orthogonality(self, d):

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ybe_growth
@@ -733,6 +735,65 @@ class TestOtherCommands:
     def test_verify_unknown_criterion(self, capsys):
         code, _, err = run_cli(["verify", "--criteria", "99"], capsys)
         assert code == 2
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestJsonText:
+    """cli._json_text against json.dumps(indent=2, sort_keys=True), byte for byte."""
+
+    VALUES = (
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, ()], {"a": [{}, [[]]]},
+        [True, 1, 0], [1, "a"], None, [None, False], {"t": True}, 7, "solo",
+        ["é", "\u2603 \U0001f600", 'q"uote', "back\\slash", "\x00\x1f\n\t\x7f"],
+        {"é\n": "\u2028", "": ""},
+        [1.5, -0.0, 1e16, float("nan"), float("inf"), -float("inf")], 0.1, {"x": -0.0},
+        {1: "a", 2: [3]}, {"a": {1: 2}}, OrderedDict([("b", 1), ("a", [2, 3])]), [OrderedDict(a=1)],
+        (1, 2, 3), [(4, 5), ("x",)], [10**30, -7], {"b": [1, 2], "a": {"c": ["x", "y"]}},
+    )
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_equals_json_dumps(self, value):
+        assert cli._json_text(value) == _dumps(value)
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [np.int64(1)]}, [[1, {2}]]], ids=repr)
+    def test_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError) as dumps_error:
+            _dumps(value)
+        with pytest.raises(TypeError) as text_error:
+            cli._json_text(value)
+        assert str(text_error.value) == str(dumps_error.value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "--solution", "dihedral", "--d", "6", "--order", "4", "--verify"],
+            ["group", "--solution", "permutations", "--d", "4", "--order", "4"],
+            ["monoid", "--solution", "custom-json", "--order", "3"],
+            ["defect-table", "--solution", "permutations", "--d", "4"],
+            ["defect-table", "--solution", "dihedral", "--d", "6"],
+            ["egf", "--order", "6", "--order-x", "3"],
+            ["normal-form", "--word", "1,-1,1", "--infinite"],
+            ["invariants", "--word", "0,1,3", "--d", "5"],
+            ["verify", "--criteria", "1,12"],
+        ],
+        ids=" ".join,
+    )
+    def test_reports_equal_json_dumps(self, argv, tmp_path, monkeypatch, capsys):
+        from ybe_growth.algebra import reflection_solution
+
+        if "custom-json" in argv:
+            path = tmp_path / "sol.json"
+            path.write_text(json.dumps(reflection_solution(3).to_json()))
+            argv = argv + ["--input", str(path)]
+        written, text = [], cli._json_text
+        # the first call is the whole report; the rest are its nested values
+        monkeypatch.setattr(cli, "_json_text", lambda value, pad="": written.append(value) or text(value, pad))
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert out == _dumps(written[0]) + "\n"
 
 
 class TestEntryPoint:
